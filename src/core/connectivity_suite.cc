@@ -363,8 +363,4 @@ double KConnectivityTester::WitnessMinCut() const {
   return StoerWagnerMinCut(unit).value;
 }
 
-bool KConnectivityTester::IsKConnected() const {
-  return WitnessMinCut() >= static_cast<double>(k_);
-}
-
 }  // namespace gsketch

@@ -242,7 +242,13 @@ class KConnectivityTester {
 
   /// True iff the streamed graph is k-edge-connected: the witness
   /// preserves all cuts below k, so its min cut is exact in that range.
-  bool IsKConnected() const;
+  bool IsKConnected() const { return IsKConnected(WitnessMinCut()); }
+
+  /// The same test on an already decoded WitnessMinCut() value, so one
+  /// decode can report both.
+  bool IsKConnected(double witness_cut) const {
+    return witness_cut >= static_cast<double>(k_);
+  }
 
   /// Exact min cut value when it is below k, otherwise a value >= k.
   double WitnessMinCut() const;

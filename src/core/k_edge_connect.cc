@@ -88,18 +88,21 @@ void KEdgeConnectSketch::Merge(const KEdgeConnectSketch& other) {
 }
 
 Graph KEdgeConnectSketch::ExtractWitness() const {
-  // Work on copies so decoding stays const; peel forests layer by layer.
-  std::vector<SpanningForestSketch> work = layers_;
+  // Peel forests layer by layer. F_1 decodes straight from layer 0 (it is
+  // only read); layers 1..k-1 get earlier forests deleted, so decoding
+  // works on copies of those to stay const. peeled[j] is layer j + 1.
   Graph witness(n_);
-  for (size_t i = 0; i < work.size(); ++i) {
-    Graph forest = work[i].ExtractForest();
-    std::vector<WeightedEdge> forest_edges = forest.Edges();
+  if (layers_.empty()) return witness;
+  std::vector<SpanningForestSketch> peeled(layers_.begin() + 1, layers_.end());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const SpanningForestSketch& layer = i == 0 ? layers_[0] : peeled[i - 1];
+    std::vector<WeightedEdge> forest_edges = layer.ExtractForest().Edges();
     if (forest_edges.empty()) break;  // remaining layers see the same graph
     for (const auto& e : forest_edges) {
       witness.AddEdge(e.u, e.v, e.weight);
     }
-    for (size_t j = i + 1; j < work.size(); ++j) {
-      work[j].DeleteEdges(forest_edges);
+    for (size_t j = i; j < peeled.size(); ++j) {
+      peeled[j].DeleteEdges(forest_edges);
     }
   }
   return witness;

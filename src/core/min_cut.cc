@@ -82,26 +82,21 @@ void MinCutSketch::Merge(const MinCutSketch& other) {
 }
 
 MinCutEstimate MinCutSketch::Estimate() const {
+  // The first level whose witness cut drops below k resolves the estimate.
+  // If every level stays k-connected (only for graphs extremely dense
+  // relative to the hierarchy depth), the deepest level's cut — the last
+  // one computed — is reported unresolved.
   MinCutEstimate est;
   for (uint32_t i = 0; i < levels_.size(); ++i) {
-    Graph witness = levels_[i].ExtractWitness();
-    MinCutResult cut = StoerWagnerMinCut(witness);
-    if (cut.value < static_cast<double>(k_)) {
+    MinCutResult cut = StoerWagnerMinCut(levels_[i].ExtractWitness());
+    est.resolved = cut.value < static_cast<double>(k_);
+    if (est.resolved || i + 1 == levels_.size()) {
       est.value = std::ldexp(cut.value, static_cast<int>(i));  // 2^i * λ(H_i)
       est.level = i;
       est.side = std::move(cut.side);
-      est.resolved = true;
-      return est;
+      break;
     }
   }
-  // Every level stayed k-connected (can only happen for extremely dense
-  // graphs relative to the hierarchy depth); report the deepest level.
-  Graph witness = levels_.back().ExtractWitness();
-  MinCutResult cut = StoerWagnerMinCut(witness);
-  est.value = std::ldexp(cut.value, static_cast<int>(levels_.size() - 1));
-  est.level = static_cast<uint32_t>(levels_.size() - 1);
-  est.side = std::move(cut.side);
-  est.resolved = false;
   return est;
 }
 

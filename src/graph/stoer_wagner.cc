@@ -1,10 +1,103 @@
 #include "src/graph/stoer_wagner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <queue>
+#include <utility>
 
 namespace gsketch {
+
+namespace {
+
+constexpr uint32_t kNotQueued = std::numeric_limits<uint32_t>::max();
+
+// Indexed binary max-heap over super-node ids for the maximum-adjacency
+// order. The order is (key descending, id ascending), so equal keys pop
+// lowest id first — the tie rule of a left-to-right argmax scan.
+class AdjacencyQueue {
+ public:
+  explicit AdjacencyQueue(NodeId n) : key_(n, 0.0), pos_(n, kNotQueued) {
+    heap_.reserve(n);
+  }
+
+  // Queues `ids` (ascending) with key 0. Ascending ids under equal keys
+  // already satisfy the heap order, so no sifting is needed.
+  void Reset(const std::vector<NodeId>& ids) {
+    heap_ = ids;
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      key_[heap_[i]] = 0.0;
+      pos_[heap_[i]] = static_cast<uint32_t>(i);
+    }
+  }
+
+  bool Contains(NodeId v) const { return pos_[v] != kNotQueued; }
+  double Key(NodeId v) const { return key_[v]; }
+
+  // Adds `w` to v's key and restores the heap order (v must be queued).
+  void Add(NodeId v, double w) {
+    key_[v] += w;
+    if (w > 0) {
+      SiftUp(pos_[v]);
+    } else {
+      SiftDown(pos_[v]);
+    }
+  }
+
+  NodeId PopMax() {
+    const NodeId top = heap_[0];
+    pos_[top] = kNotQueued;
+    const NodeId tail = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_[0] = tail;
+      pos_[tail] = 0;
+      SiftDown(0);
+    }
+    return top;
+  }
+
+ private:
+  bool Before(NodeId a, NodeId b) const {
+    return key_[a] > key_[b] || (key_[a] == key_[b] && a < b);
+  }
+
+  void Place(uint32_t i, NodeId v) {
+    heap_[i] = v;
+    pos_[v] = i;
+  }
+
+  void SiftUp(uint32_t i) {
+    const NodeId v = heap_[i];
+    while (i > 0) {
+      const uint32_t parent = (i - 1) / 2;
+      if (!Before(v, heap_[parent])) break;
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, v);
+  }
+
+  void SiftDown(uint32_t i) {
+    const NodeId v = heap_[i];
+    const auto size = static_cast<uint32_t>(heap_.size());
+    for (;;) {
+      uint32_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && Before(heap_[child + 1], heap_[child])) ++child;
+      if (!Before(heap_[child], v)) break;
+      Place(i, heap_[child]);
+      i = child;
+    }
+    Place(i, v);
+  }
+
+  std::vector<double> key_;
+  std::vector<uint32_t> pos_;
+  std::vector<NodeId> heap_;
+};
+
+}  // namespace
 
 MinCutResult StoerWagnerMinCut(const Graph& g) {
   const NodeId n = g.NumNodes();
@@ -33,54 +126,49 @@ MinCutResult StoerWagnerMinCut(const Graph& g) {
     return best;
   }
 
-  // Dense weight matrix; merged super-nodes tracked by member lists.
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (const auto& e : g.Edges()) {
-    w[e.u][e.v] += e.weight;
-    w[e.v][e.u] += e.weight;
+  // Original adjacency in CSR form. A super-node keeps the id of the node
+  // that absorbed the others; rep[] maps every original node to it and
+  // next_member[] chains its members, so a phase scans each original edge
+  // from both ends (O(m)) and a merge splices two chains.
+  std::vector<size_t> first(n + 1, 0);
+  for (NodeId u = 0; u < n; ++u) first[u + 1] = first[u] + g.Degree(u);
+  std::vector<std::pair<NodeId, double>> adj(first[n]);
+  for (NodeId u = 0; u < n; ++u) {
+    std::copy(g.Neighbors(u).begin(), g.Neighbors(u).end(),
+              adj.begin() + static_cast<std::ptrdiff_t>(first[u]));
   }
-  std::vector<std::vector<NodeId>> members(n);
-  for (NodeId i = 0; i < n; ++i) members[i] = {i};
-  std::vector<bool> merged(n, false);
+  std::vector<NodeId> rep(n), next_member(n, n), tail_member(n);
+  std::vector<NodeId> active(n);
+  for (NodeId i = 0; i < n; ++i) rep[i] = tail_member[i] = active[i] = i;
 
+  AdjacencyQueue queue(n);
   best.value = std::numeric_limits<double>::infinity();
-  for (NodeId phase = 0; phase + 1 < n; ++phase) {
-    // Maximum adjacency order.
-    std::vector<double> conn(n, 0.0);
-    std::vector<bool> in_a(n, false);
-    NodeId prev = 0, last = 0;
-    for (NodeId step = 0; step < n - phase; ++step) {
-      NodeId pick = n;  // sentinel
-      for (NodeId v = 0; v < n; ++v) {
-        if (merged[v] || in_a[v]) continue;
-        if (pick == n || conn[v] > conn[pick]) pick = v;
-      }
-      in_a[pick] = true;
+  while (active.size() > 1) {
+    // Maximum adjacency order. Once every other super-node is in A, the
+    // key of `last` is its cut-of-the-phase.
+    queue.Reset(active);
+    NodeId prev = n, last = n;
+    for (size_t step = 0; step < active.size(); ++step) {
       prev = last;
-      last = pick;
-      for (NodeId v = 0; v < n; ++v) {
-        if (!merged[v] && !in_a[v]) conn[v] += w[pick][v];
+      last = queue.PopMax();
+      for (NodeId x = last; x != n; x = next_member[x]) {
+        for (size_t e = first[x]; e < first[x + 1]; ++e) {
+          const NodeId r = rep[adj[e].first];
+          if (queue.Contains(r)) queue.Add(r, adj[e].second);
+        }
       }
     }
-    // Cut-of-the-phase: `last` against the rest.
-    double cut = 0.0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!merged[v] && v != last) cut += w[last][v];
-    }
+    const double cut = queue.Key(last);
     if (cut < best.value) {
       best.value = cut;
-      best.side = members[last];
+      best.side.clear();
+      for (NodeId x = last; x != n; x = next_member[x]) best.side.push_back(x);
     }
     // Merge `last` into `prev`.
-    merged[last] = true;
-    members[prev].insert(members[prev].end(), members[last].begin(),
-                         members[last].end());
-    for (NodeId v = 0; v < n; ++v) {
-      if (!merged[v] && v != prev) {
-        w[prev][v] += w[last][v];
-        w[v][prev] = w[prev][v];
-      }
-    }
+    for (NodeId x = last; x != n; x = next_member[x]) rep[x] = prev;
+    next_member[tail_member[prev]] = last;
+    tail_member[prev] = tail_member[last];
+    active.erase(std::find(active.begin(), active.end(), last));
   }
   std::sort(best.side.begin(), best.side.end());
   return best;

@@ -17,8 +17,12 @@ struct MinCutResult {
                              ///< graphs short-circuit to value 0).
 };
 
-/// Exact global min cut (O(n^3)). A disconnected graph returns value 0 with
-/// one component as the side. Graphs with fewer than 2 nodes return 0.
+/// Exact global min cut in O(n·m·log n + n^2) time: maximum-adjacency
+/// phases over adjacency lists with an indexed binary heap, so a sparse
+/// k-EDGECONNECT witness (m <= k(n-1)) is cheap to post-process. Ties go to
+/// the lowest node id and the earliest phase, which fixes `side` exactly on
+/// integer weights. A disconnected graph returns value 0 with one component
+/// as the side. Graphs with fewer than 2 nodes return 0.
 MinCutResult StoerWagnerMinCut(const Graph& g);
 
 }  // namespace gsketch

@@ -1,7 +1,12 @@
 // Tests for the exact baselines: BFS, Stoer–Wagner, Dinic, Gomory–Hu.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <queue>
+#include <string>
+#include <vector>
 
 #include "src/graph/bfs.h"
 #include "src/graph/cuts.h"
@@ -9,6 +14,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/gomory_hu.h"
 #include "src/graph/stoer_wagner.h"
+#include "src/graph/union_find.h"
 #include "src/hash/random.h"
 
 namespace gsketch {
@@ -84,6 +90,201 @@ TEST(StoerWagner, MatchesCutValueOfReportedSide) {
   EXPECT_DOUBLE_EQ(CutValue(g, side), r.value);
 }
 
+// Test-local oracle: the dense Θ(n^3) Stoer–Wagner (weight matrix, argmax
+// scans) that the library's sparse heap-based version replaced. The sparse
+// version keeps its tie rules (lowest id among equal connectivities, strict
+// `<` across phases), so on integer weights both return the same value and
+// the same side.
+MinCutResult DenseStoerWagnerOracle(const Graph& g) {
+  const NodeId n = g.NumNodes();
+  MinCutResult best;
+  if (n < 2) return best;
+  if (g.NumComponents() > 1) {
+    // Same short-circuit as the library: node 0's component in BFS order.
+    std::vector<bool> mark(n, false);
+    std::queue<NodeId> q;
+    q.push(0);
+    mark[0] = true;
+    while (!q.empty()) {
+      NodeId u = q.front();
+      q.pop();
+      best.side.push_back(u);
+      for (const auto& [v, w] : g.Neighbors(u)) {
+        (void)w;
+        if (!mark[v]) {
+          mark[v] = true;
+          q.push(v);
+        }
+      }
+    }
+    return best;
+  }
+  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+  for (const auto& e : g.Edges()) {
+    w[e.u][e.v] += e.weight;
+    w[e.v][e.u] += e.weight;
+  }
+  std::vector<std::vector<NodeId>> members(n);
+  for (NodeId i = 0; i < n; ++i) members[i] = {i};
+  std::vector<bool> merged(n, false);
+  best.value = std::numeric_limits<double>::infinity();
+  for (NodeId phase = 0; phase + 1 < n; ++phase) {
+    std::vector<double> conn(n, 0.0);
+    std::vector<bool> in_a(n, false);
+    NodeId prev = 0, last = 0;
+    for (NodeId step = 0; step < n - phase; ++step) {
+      NodeId pick = n;
+      for (NodeId v = 0; v < n; ++v) {
+        if (merged[v] || in_a[v]) continue;
+        if (pick == n || conn[v] > conn[pick]) pick = v;
+      }
+      in_a[pick] = true;
+      prev = last;
+      last = pick;
+      for (NodeId v = 0; v < n; ++v) {
+        if (!merged[v] && !in_a[v]) conn[v] += w[pick][v];
+      }
+    }
+    double cut = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!merged[v] && v != last) cut += w[last][v];
+    }
+    if (cut < best.value) {
+      best.value = cut;
+      best.side = members[last];
+    }
+    merged[last] = true;
+    members[prev].insert(members[prev].end(), members[last].begin(),
+                         members[last].end());
+    for (NodeId v = 0; v < n; ++v) {
+      if (!merged[v] && v != prev) {
+        w[prev][v] += w[last][v];
+        w[v][prev] = w[prev][v];
+      }
+    }
+  }
+  std::sort(best.side.begin(), best.side.end());
+  return best;
+}
+
+// Global min cut as min over v of maxflow(0, v); valid for connected graphs.
+double DinicGlobalMinCut(const Graph& g) {
+  double best = std::numeric_limits<double>::infinity();
+  for (NodeId v = 1; v < g.NumNodes(); ++v) {
+    best = std::min(best, MinCutBetween(g, 0, v));
+  }
+  return best;
+}
+
+// A k-EDGECONNECT-shaped witness: k spanning forests peeled off a random
+// graph, each a forest of what the earlier ones left (random edge order),
+// with multiplicities drawn from [1, max_mult].
+Graph PeeledForestUnion(NodeId n, double p, uint32_t k, int64_t max_mult,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<WeightedEdge> remaining = ErdosRenyi(n, p, seed).Edges();
+  Graph h(n);
+  for (uint32_t i = 0; i < k; ++i) {
+    rng.Shuffle(&remaining);
+    UnionFind uf(n);
+    std::vector<WeightedEdge> rest;
+    for (const auto& e : remaining) {
+      if (uf.Union(e.u, e.v)) {
+        h.AddEdge(e.u, e.v, static_cast<double>(rng.Range(1, max_mult)));
+      } else {
+        rest.push_back(e);
+      }
+    }
+    remaining = std::move(rest);
+  }
+  return h;
+}
+
+// The seeded corpus for the sparse-vs-dense check: Erdős–Rényi graphs over
+// varied n and density (the sparse ones often disconnected), integer
+// multiplicities, and the n in {0, 1, 2} edge cases.
+std::vector<std::pair<std::string, Graph>> IntegerWeightedCorpus() {
+  std::vector<std::pair<std::string, Graph>> corpus;
+  corpus.emplace_back("n=0", Graph(0));
+  corpus.emplace_back("n=1", Graph(1));
+  corpus.emplace_back("n=2 no edge", Graph(2));
+  Graph pair(2);
+  pair.AddEdge(0, 1, 3.0);
+  corpus.emplace_back("n=2 edge", pair);
+  const NodeId sizes[] = {3, 5, 8, 13, 21, 34, 55};
+  const double densities[] = {0.08, 0.2, 0.45, 0.8};
+  uint64_t seed = 1000;
+  for (NodeId n : sizes) {
+    for (double p : densities) {
+      for (int rep = 0; rep < 11; ++rep, ++seed) {
+        Graph g = ErdosRenyi(n, p, seed);
+        const std::string tag = "er n=" + std::to_string(n) +
+                                " p=" + std::to_string(p) +
+                                " seed=" + std::to_string(seed);
+        // Half the seeds carry multiplicities; the unit-weight ones are
+        // where equal connectivities (and so the tie rules) are common.
+        if (rep % 2 == 1) {
+          corpus.emplace_back(tag + " mult", WithRandomWeights(g, 5, seed));
+        } else {
+          corpus.emplace_back(tag, std::move(g));
+        }
+      }
+    }
+  }
+  for (NodeId n : {6, 12, 24, 40}) {
+    for (int rep = 0; rep < 5; ++rep, ++seed) {
+      corpus.emplace_back("forests n=" + std::to_string(n) +
+                              " seed=" + std::to_string(seed),
+                          PeeledForestUnion(n, 0.4, 3, 2, seed));
+    }
+  }
+  return corpus;
+}
+
+TEST(StoerWagner, SparseMatchesDenseOracleOnIntegerWeights) {
+  const auto corpus = IntegerWeightedCorpus();
+  ASSERT_GE(corpus.size(), 300u);
+  int disconnected = 0;
+  for (const auto& [tag, g] : corpus) {
+    const MinCutResult got = StoerWagnerMinCut(g);
+    const MinCutResult want = DenseStoerWagnerOracle(g);
+    EXPECT_EQ(got.value, want.value) << tag;
+    EXPECT_EQ(got.side, want.side) << tag;
+    if (g.NumNodes() >= 2 && g.NumComponents() > 1) ++disconnected;
+  }
+  EXPECT_GE(disconnected, 20) << "corpus lost its disconnected cases";
+}
+
+TEST(StoerWagner, SparseMatchesDenseOracleOnWitnessShapedGraph) {
+  // The k-EDGECONNECT post-processing shape: k = 3 forests at n = 512.
+  for (uint64_t seed : {7, 8}) {
+    Graph h = PeeledForestUnion(512, 0.02, 3, seed == 7 ? 1 : 3, seed);
+    ASSERT_LE(h.NumEdges(), 3u * 511u);
+    ASSERT_EQ(h.NumComponents(), 1u) << "must take the sparse phases";
+    const MinCutResult got = StoerWagnerMinCut(h);
+    const MinCutResult want = DenseStoerWagnerOracle(h);
+    EXPECT_EQ(got.value, want.value) << seed;
+    EXPECT_EQ(got.side, want.side) << seed;
+  }
+}
+
+TEST(StoerWagner, SparseMatchesDenseOracleOnFractionalWeights) {
+  // Summation order differs between the two, so only the value is pinned,
+  // to 1e-9 relative.
+  Rng rng(99);
+  for (uint64_t seed = 2000; seed < 2040; ++seed) {
+    const NodeId n = static_cast<NodeId>(4 + rng.Below(30));
+    Graph g = ErdosRenyi(n, 0.3, seed);
+    Graph weighted(n);
+    for (const auto& e : g.Edges()) {
+      weighted.AddEdge(e.u, e.v, 0.01 + rng.Unit() * 9.99);
+    }
+    const double got = StoerWagnerMinCut(weighted).value;
+    const double want = DenseStoerWagnerOracle(weighted).value;
+    EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want))) << seed;
+  }
+}
+
 TEST(Dinic, SeriesParallel) {
   Graph g(4);
   g.AddEdge(0, 1, 3.0);
@@ -125,14 +326,21 @@ TEST(Dinic, MatchesStoerWagnerGlobalMin) {
     Graph g = ErdosRenyi(16, 0.35, seed);
     if (g.NumComponents() != 1) continue;
     ++checked;
-    auto sw = StoerWagnerMinCut(g);
-    double best = std::numeric_limits<double>::infinity();
-    for (NodeId v = 1; v < g.NumNodes(); ++v) {
-      best = std::min(best, MinCutBetween(g, 0, v));
-    }
-    EXPECT_DOUBLE_EQ(best, sw.value) << seed;
+    EXPECT_DOUBLE_EQ(DinicGlobalMinCut(g), StoerWagnerMinCut(g).value)
+        << seed;
   }
   EXPECT_GE(checked, 3) << "seed range produced too few connected graphs";
+}
+
+TEST(Dinic, MatchesStoerWagnerOnOracleCorpus) {
+  // The sparse-vs-dense corpus, cross-checked against max-flow as well.
+  int checked = 0;
+  for (const auto& [tag, g] : IntegerWeightedCorpus()) {
+    if (g.NumNodes() < 2 || g.NumComponents() != 1) continue;
+    ++checked;
+    EXPECT_DOUBLE_EQ(DinicGlobalMinCut(g), StoerWagnerMinCut(g).value) << tag;
+  }
+  EXPECT_GE(checked, 150) << "corpus produced too few connected graphs";
 }
 
 TEST(GomoryHu, PathGraphTree) {

@@ -173,6 +173,23 @@ TEST(Registry, MergeRejectsMismatchedAlgorithmsAndShapes) {
   EXPECT_EQ(Bytes(*conn), before);
 }
 
+TEST(Registry, KConnectAnswerMatchesItsQueryVerbs) {
+  // The printed answer decodes the witness once for both of its lines; it
+  // must read exactly as the `witnesscut` and `kconnected` verbs do.
+  Graph dense = CompleteGraph(kN);  // 15-connected
+  Graph bridged = Dumbbell(kN / 2, 0.9, 1, 3);  // one bridge
+  for (const Graph* g : {&dense, &bridged}) {
+    auto kc = FindAlg("kconnect")->make(kN, AlgOptions{}, kSeed);
+    for (const auto& e : g->Edges()) kc->Update(e.u, e.v, 1);
+    std::string cut, connected, error;
+    ASSERT_TRUE(kc->Query("witnesscut", &cut, &error)) << error;
+    ASSERT_TRUE(kc->Query("kconnected", &connected, &error)) << error;
+    EXPECT_EQ(AnswerString(*kc),
+              "witness min cut: " + cut + "\n3-connected: " + connected + "\n");
+    EXPECT_EQ(connected, g == &dense ? "yes" : "no");
+  }
+}
+
 TEST(Registry, KnobsReachTheFactories) {
   AlgOptions opt;
   opt.k = 5;

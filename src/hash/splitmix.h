@@ -56,24 +56,17 @@ inline constexpr double ToUnitDouble(uint64_t word) {
   return static_cast<double>(word >> 11) * 0x1.0p-53;
 }
 
-/// Bernoulli(2^-i) coin: true iff the low i bits of the word are zero.
-/// Matches the paper's nested subsampling Π_{j≤i} h_j(e) = 1 when the word
-/// is interpreted as the concatenation of fair coins h_1(e), h_2(e), ....
-inline constexpr bool GeometricCoin(uint64_t word, uint32_t i) {
-  if (i == 0) return true;
-  if (i >= 64) return word == 0;
-  return (word & ((uint64_t{1} << i) - 1)) == 0;
-}
-
 /// Number of leading fair-coin successes in the word (trailing zero count,
 /// capped). Determines the deepest subsampling level an element survives to.
+/// Branch-free for cap < 64: the guard bit at position `cap` caps the count
+/// and keeps the ctz operand nonzero. cap >= 64 (a SamplingLevels depth
+/// set by options or read from a checkpoint can be that deep) takes the
+/// guarded path, so ctz is never applied to 0.
 inline constexpr uint32_t GeometricLevel(uint64_t word, uint32_t cap) {
-  uint32_t lvl = 0;
-  while (lvl < cap && (word & 1) == 0) {
-    word >>= 1;
-    ++lvl;
+  if (cap >= 64) {
+    return word == 0 ? cap : static_cast<uint32_t>(__builtin_ctzll(word));
   }
-  return lvl;
+  return static_cast<uint32_t>(__builtin_ctzll(word | (uint64_t{1} << cap)));
 }
 
 }  // namespace gsketch

@@ -32,17 +32,42 @@ TEST(SplitMix, AvalancheRoughlyHalfBitsFlip) {
   EXPECT_LT(avg, 40.0);
 }
 
-TEST(SplitMix, GeometricCoinMatchesBitPrefix) {
-  EXPECT_TRUE(GeometricCoin(0b1000, 3));
-  EXPECT_FALSE(GeometricCoin(0b1000, 4));
-  EXPECT_TRUE(GeometricCoin(0xffffffffffffffffULL, 0));
-  EXPECT_TRUE(GeometricCoin(0, 64));
-}
-
 TEST(SplitMix, GeometricLevelCountsTrailingZeros) {
   EXPECT_EQ(GeometricLevel(0b1, 10), 0u);
   EXPECT_EQ(GeometricLevel(0b100, 10), 2u);
   EXPECT_EQ(GeometricLevel(0, 10), 10u);  // capped
+}
+
+// Bit-at-a-time oracle for GeometricLevel: count trailing zeros, stop at cap.
+uint32_t LoopLevel(uint64_t word, uint32_t cap) {
+  uint32_t lvl = 0;
+  while (lvl < cap && (word & 1) == 0) {
+    word >>= 1;
+    ++lvl;
+  }
+  return lvl;
+}
+
+static_assert(GeometricLevel(0b1000, 10) == 3, "usable in constexpr");
+static_assert(GeometricLevel(0, 70) == 70, "usable in constexpr");
+static_assert(GeometricLevel(uint64_t{1} << 40, 64) == 40,
+              "usable in constexpr");
+
+TEST(SplitMix, GeometricLevelMatchesLoopForEveryCap) {
+  std::vector<uint64_t> words = {0, ~uint64_t{0}};
+  for (uint32_t b = 0; b < 64; ++b) {
+    const uint64_t bit = uint64_t{1} << b;
+    words.push_back(bit);
+    // Bit b set, bit b+1 clear, every higher bit set (2 << 63 wraps to 0).
+    words.push_back(bit | ~((uint64_t{2} << b) - 1));
+  }
+  for (uint64_t i = 0; i < 100000; ++i) words.push_back(SplitMix64(i));
+  for (uint32_t cap = 0; cap <= 70; ++cap) {
+    for (uint64_t w : words) {
+      ASSERT_EQ(GeometricLevel(w, cap), LoopLevel(w, cap))
+          << "word " << w << " cap " << cap;
+    }
+  }
 }
 
 TEST(SplitMix, DeriveSeedSeparatesRoles) {

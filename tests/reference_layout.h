@@ -43,7 +43,7 @@ class RefL0Sampler {
     assert(index < domain_);
     for (uint32_t r = 0; r < reps_; ++r) {
       uint64_t rep_seed = DeriveSeed(seed_, r);
-      uint32_t z = GeometricLevel(Mix64(rep_seed, 0x5e7eu, index), levels_);
+      uint32_t z = LoopLevel(Mix64(rep_seed, 0x5e7eu, index), levels_);
       uint64_t finger = OneSparseCell::FingerOf(rep_seed, index);
       for (uint32_t l = 0; l <= z; ++l) {
         cells_[CellAt(r, l)].Update(index, delta, finger);
@@ -92,6 +92,18 @@ class RefL0Sampler {
   }
 
  private:
+  // The original bit-at-a-time level loop, kept here rather than calling
+  // the library's GeometricLevel so the parity tier checks that function
+  // against an independent oracle.
+  static uint32_t LoopLevel(uint64_t word, uint32_t cap) {
+    uint32_t lvl = 0;
+    while (lvl < cap && (word & 1) == 0) {
+      word >>= 1;
+      ++lvl;
+    }
+    return lvl;
+  }
+
   static uint32_t LevelsFor(uint64_t domain) {
     uint32_t l = 0;
     while ((uint64_t{1} << l) < domain && l < 63) ++l;

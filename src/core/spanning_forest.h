@@ -36,8 +36,8 @@ class SpanningForestSketch {
 
   /// Applies the half of one token owned by `endpoint` (u or v); the two
   /// endpoint halves compose to Update(u,v,delta). Calls for distinct
-  /// endpoints touch disjoint sampler state, enabling lock-free sharded
-  /// ingestion (src/driver/sketch_driver.h).
+  /// endpoints touch disjoint sampler state, so workers may apply
+  /// different nodes concurrently (src/driver/sketch_driver.h).
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
 
   /// Applies a dense batch of half-updates all owned by `endpoint` —
@@ -51,30 +51,6 @@ class SpanningForestSketch {
   /// (BatchEdgeIds), shared across composite sketches' many forests.
   void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
                      const int64_t* signed_deltas, size_t count);
-
-  /// Cells in one node's delta-merge scratch: every round bank's per-node
-  /// slice back to back (delta-mode driver, src/driver/sketch_driver.h).
-  size_t DeltaCellsPerNode() const;
-
-  /// Accumulates a precomputed-id batch into `scratch` (caller-zeroed,
-  /// DeltaCellsPerNode() cells), touching no sketch state. Composite
-  /// sketches carve their scratch into per-forest segments and share the
-  /// hashed ids across them.
-  void AccumulateDeltaIds(const uint64_t* ids, const int64_t* signed_deltas,
-                          size_t count, OneSparseCell* scratch) const;
-
-  /// Delta-merge contract (see LinearSketch::AccumulateDelta): builds the
-  /// whole batch into `*scratch` (resized and zeroed here) and returns the
-  /// cells used. Shared state untouched.
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const;
-
-  /// Adds an accumulated delta into `endpoint`'s live slices; `cells` is
-  /// AccumulateDelta's return value and the caller holds the per-node
-  /// lock. Merge-after-accumulate is bit-identical to ApplyBatch.
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells);
 
   /// Adds another sketch with identical parameterization.
   void Merge(const SpanningForestSketch& other);

@@ -48,7 +48,7 @@ class SubgraphSketch {
   /// two halves still compose to Update. Unlike the node-incidence
   /// sketches, columns are k-subsets shared across endpoints — the halves
   /// do NOT touch disjoint state, so this sketch is not safe for
-  /// multi-worker endpoint-sharded ingestion (drive it with one worker).
+  /// multi-worker ingestion (drive it with one worker).
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta) {
     if (endpoint == (u < v ? u : v)) Update(u, v, delta);
   }

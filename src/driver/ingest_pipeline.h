@@ -1,38 +1,46 @@
 // The shared, type-erased ingestion pipeline: ONE worker pool and queue
-// fabric serving ANY number of co-hosted sketches ("sessions").
+// serving ANY number of co-hosted sketches ("sessions").
 //
-// SketchDriver<Alg> historically owned its worker threads, so every hosted
-// sketch cost a private thread pool and the process was structurally
-// single-tenant. AGM linear sketches make co-hosting cheap — all tenants
-// share the same cell/kernel machinery, per-tenant state is just arenas —
-// so the reusable machinery (worker pool, bounded sharded/MPMC queues,
-// drain barrier, delta-merge stripes) lives here, type-erased behind
-// IngestSink, and each tenant attaches a CHANNEL carrying only its private
-// producer-side state (gutters, eager forest, pending batches, counters).
-// SketchDriver<Alg> survives as a thin single-session facade over one
-// pipeline; SessionManager (src/session/) runs N named sessions over one.
+// AGM linear sketches make co-hosting cheap — all tenants share the same
+// cell/kernel machinery, per-tenant state is just arenas — so the
+// reusable machinery (worker pool, the shared queue, the per-node stripe
+// locks, the drain barrier) lives here, type-erased behind IngestSink,
+// and each tenant attaches a CHANNEL carrying only its private
+// producer-side state (gutters, eager forest, counters). SketchDriver<Alg>
+// is a thin single-session facade over one pipeline; SessionManager
+// (src/session/) runs N named sessions over one.
+//
+// There is one ingestion path. Every stream token's two endpoint halves
+// go into the channel's per-node gutters (src/driver/gutter.h); every
+// gutter flush becomes one dense NodeBatch on ONE shared queue; any idle
+// worker pops the next batch and applies it with IngestSink::ApplyNode
+// while holding that (session, endpoint)'s stripe lock. The stripe is the
+// only serialization a linear sketch needs: cells after a stream are the
+// same under any order and any grouping of its updates, so the scheduler
+// only has to keep two workers from writing one node's cells at once. A
+// hot node's batches spread over every worker instead of pinning to one.
 //
 // Every work item is tagged with the channel it belongs to, so workers
 // dispatch per batch on the session id (one virtual call per batch, not
 // per update). Isolation invariant: distinct sessions apply to DISJOINT
 // sketch objects, so co-hosted ingestion through a shared pool leaves
-// every tenant's sketch byte-identical to that tenant running solo in any
-// mode — sharded, gutter-buffered, or delta-merge (linearity makes order
-// irrelevant; tests/session_test.cc proves it per family and per mode).
+// every tenant's sketch byte-identical to that tenant running solo
+// (tests/session_test.cc proves it per family).
 //
-// Threading contract (unchanged from SketchDriver): ALL producer-side
-// calls — Push, Drain, Attach, Detach, CaptureEagerCut — come from one
-// thread (or are externally serialized). Workers are internal. Per-session
-// drain only waits for THAT session's queued work; other sessions keep
-// flowing through the same workers during the barrier.
+// Threading contract: ALL producer-side calls — Push, Drain, Attach,
+// Detach, CaptureEagerCut — come from one thread (or are externally
+// serialized). Workers are internal. Per-session drain only waits for
+// THAT session's queued work; other sessions keep flowing through the
+// same workers during the barrier.
 //
 // The locking invariants below are machine-checked: every mutex is a
 // capability-annotated gsketch::Mutex (src/core/sync.h), guarded fields
 // carry GSKETCH_GUARDED_BY, and clang -Wthread-safety rejects any access
-// that cannot prove it holds the lock. Lock order (see sync.h):
-// Shard::mu is never held while a batch is applied; a delta stripe may
-// nest a CowCellArena own-stripe under it (the only nesting pair in the
-// codebase); drained_mu_ is a leaf taken with nothing else held.
+// that cannot prove it holds the lock. Lock order (see sync.h): queue_mu_
+// is never held while a batch is applied; a node stripe is held across
+// the apply and may nest a CowCellArena own-stripe under it (the only
+// nesting pair in the codebase); drained_mu_ is a leaf taken with nothing
+// else held.
 #ifndef GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 #define GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 
@@ -40,9 +48,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "src/core/sync.h"
@@ -50,7 +56,6 @@
 #include "src/driver/eager_forest.h"
 #include "src/driver/gutter.h"
 #include "src/graph/stream.h"
-#include "src/sketch/one_sparse.h"
 
 namespace gsketch {
 
@@ -71,49 +76,31 @@ struct HalfUpdate {
 /// The type-erased per-session apply surface. One sink wraps one sketch
 /// (see AlgIngestSink in src/driver/sketch_driver.h for the generic
 /// adapter); workers call it at batch granularity, so the virtual hop is
-/// amortized over thousands of updates. Implementations own no pipeline
-/// state and must tolerate concurrent calls only to the extent the
-/// wrapped sketch does (endpoint-sharded routing and the delta stripes
-/// provide the required serialization, exactly as for SketchDriver).
+/// amortized over a whole gutter flush. Implementations own no pipeline
+/// state; the pipeline serializes calls per (session, endpoint) with its
+/// stripe locks, and calls for distinct endpoints may run concurrently.
 class IngestSink {
  public:
   virtual ~IngestSink() = default;
 
-  /// Applies a mixed-endpoint batch of half-updates (sharded mode).
-  virtual void ApplyHalves(const HalfUpdate* halves, size_t count) = 0;
-
-  /// Applies one dense per-node batch (gutter flushes, delta fallback).
+  /// Applies one dense per-node batch (one gutter flush).
   virtual void ApplyNode(const NodeBatch& batch) = 0;
-
-  /// Delta-merge pair (see LinearSketch::AccumulateDelta): builds the
-  /// batch into `*scratch` without touching shared state, returning the
-  /// cells used — 0 means "no delta support, apply me via ApplyNode under
-  /// the lock instead".
-  virtual size_t AccumulateDelta(const NodeBatch& batch,
-                                 std::vector<OneSparseCell>* scratch)
-      const = 0;
-
-  /// Adds the first `cells` scratch cells into `endpoint`'s live state;
-  /// the pipeline serializes per-(session, endpoint) calls.
-  virtual void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                          size_t cells) = 0;
 };
 
-/// Tuning knobs for the shared pipeline (the worker-pool half of the old
-/// DriverOptions; per-session knobs moved to ChannelOptions).
+/// Tuning knobs for the shared pipeline (per-session knobs live in
+/// ChannelOptions).
 struct PipelineOptions {
   uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
-  size_t batch_size = 4096;  ///< endpoint updates per dispatched batch
-  size_t max_pending_batches = 8;  ///< per-queue bound (backpressure)
-  bool delta_mode = false;  ///< work-stealing delta-merge ingestion
-  /// Delta mode: node batches with fewer entries than this skip the delta
-  /// arena and apply in place under the striped lock.
-  size_t delta_min_batch = 32;
+  /// Queued batches per worker before Push blocks (backpressure); the
+  /// shared queue holds up to num_workers × this.
+  size_t max_pending_batches = 8;
 };
 
 /// Per-session knobs: the private producer-side state a channel carries.
 struct ChannelOptions {
-  size_t gutter_bytes = 0;        ///< per-node gutter bytes; 0 = off
+  /// Per-node gutter bytes; values below one entry (kGutterEntryBytes)
+  /// clamp to one entry, i.e. every half flushes on its own.
+  size_t gutter_bytes = 4096;
   size_t gutter_total_bytes = 0;  ///< global gutter cap; 0 = uncapped
   bool coalesce = true;           ///< fold same-edge gutter entries
   /// Nonzero enables the eager exact-connectivity forest over this many
@@ -124,9 +111,9 @@ struct ChannelOptions {
   uint64_t initial_stream_pos = 0;
 };
 
-/// The shared worker pool + queue fabric (see file comment). Channels
-/// attach and detach while the pool runs; sessions are identified by the
-/// SessionId Attach returns.
+/// The shared worker pool + queue (see file comment). Channels attach and
+/// detach while the pool runs; sessions are identified by the SessionId
+/// Attach returns.
 class IngestPipeline {
  public:
   using SessionId = uint32_t;
@@ -149,15 +136,14 @@ class IngestPipeline {
   /// reused. Producer-side.
   void Detach(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
-  /// Routes one stream token of session `sid` to its two endpoint shards
-  /// (through the session's gutters when enabled). Producer-side.
+  /// Buffers one stream token of session `sid` in the session's gutters
+  /// (full gutters flush onto the shared queue). Producer-side.
   void Push(SessionId sid, NodeId u, NodeId v, int64_t delta);
 
-  /// Flushes the session's gutters and partial batches and blocks until
-  /// every queued update OF THIS SESSION has been applied; its sketch
-  /// then reflects the whole stream pushed so far and may be read safely.
-  /// Other sessions' items keep flowing through the workers meanwhile.
-  /// Producer-side.
+  /// Flushes the session's gutters and blocks until every queued update
+  /// OF THIS SESSION has been applied; its sketch then reflects the whole
+  /// stream pushed so far and may be read safely. Other sessions' items
+  /// keep flowing through the workers meanwhile. Producer-side.
   void Drain(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
   /// Drains every live session. Producer-side.
@@ -176,7 +162,7 @@ class IngestPipeline {
   /// accounting). Producer-side.
   size_t GutterBufferedBytes(SessionId sid) const;
 
-  /// The session's gutter layer, when enabled (nullptr otherwise).
+  /// The session's gutter layer (nullptr for an unknown session).
   const GutterSystem* gutters(SessionId sid) const;
 
   /// The session's eager forest, when enabled (nullptr otherwise).
@@ -192,9 +178,6 @@ class IngestPipeline {
     return static_cast<uint32_t>(threads_.size());
   }
 
-  /// True when the pipeline runs the work-stealing delta-merge mode.
-  bool delta_mode() const { return delta_mode_; }
-
   /// Half-updates applied by worker `w` so far, across all sessions.
   uint64_t WorkerAppliedHalves(uint32_t w) const {
     // relaxed: monotone stats counter, readers tolerate staleness.
@@ -205,55 +188,40 @@ class IngestPipeline {
   size_t num_sessions() const { return live_channels_; }
 
  private:
-  using Batch = std::vector<HalfUpdate>;
-
   // All private per-session state. Work items hold a shared_ptr to their
   // channel so a worker's post-apply counter peek stays valid even if the
   // producer Detaches the (already drained) channel first.
   struct Channel {
-    SessionId id = 0;
-    IngestSink* sink = nullptr;
-    std::vector<Batch> pending;  // producer-side building batches/queue
-    std::optional<GutterSystem> gutter;  // producer-side (gutter mode)
+    Channel(IngestPipeline* pipeline, SessionId sid, IngestSink* s,
+            const ChannelOptions& copt);
+
+    SessionId id;
+    IngestSink* sink;
+    GutterSystem gutter;                 // producer-side
     std::unique_ptr<EagerForest> eager;  // producer-side (eager mode)
-    uint64_t stream_updates = 0;  // producer-side token count
+    uint64_t stream_updates = 0;         // producer-side token count
     // Producer-writes-only (documented single-producer contract); atomic
     // because workers peek at it for the drain-signal fast path.
     std::atomic<uint64_t> enqueued_halves{0};
     std::atomic<uint64_t> applied_halves{0};
   };
 
-  // Workers consume either mixed-endpoint half-update batches (gutters
-  // off, sharded mode) or dense per-node batches (gutter flushes and
-  // delta mode), each tagged with its channel.
+  // One gutter flush, tagged with its channel.
   struct WorkItem {
     std::shared_ptr<Channel> ch;
-    std::variant<Batch, NodeBatch> work;
-  };
-
-  struct Shard {
-    Mutex mu;
-    CondVar not_empty;
-    CondVar not_full;
-    std::deque<WorkItem> queue GSKETCH_GUARDED_BY(mu);
-    bool stopping GSKETCH_GUARDED_BY(mu) = false;
+    NodeBatch batch;
   };
 
   Channel* Get(SessionId sid) const;
-  void EnqueueHalf(Channel* ch, NodeId endpoint, NodeId other,
-                   int64_t delta);
-  void Dispatch(Channel* ch, uint32_t q);
-  void DispatchDeltaBatch(Channel* ch, Batch&& batch);
-  void DispatchNode(Channel* ch, NodeBatch&& batch);
-  void Enqueue(uint32_t q, WorkItem&& item);
+  void Enqueue(Channel* ch, NodeBatch&& batch)
+      GSKETCH_EXCLUDES(queue_mu_);
   void DrainChannel(Channel* ch) GSKETCH_EXCLUDES(drained_mu_);
-  void ApplyDeltaItem(Channel* ch, const NodeBatch& node,
-                      std::vector<OneSparseCell>* scratch);
-  void WorkerLoop(uint32_t w);
+  void WorkerLoop(uint32_t w)
+      GSKETCH_EXCLUDES(queue_mu_, drained_mu_);
 
-  // Stripe count for the delta-mode per-(session, endpoint) merge locks:
-  // comfortably above any sane worker count so two hot nodes rarely share
-  // a stripe, small enough that the mutex array stays cache-resident.
+  // Stripe count for the per-(session, endpoint) apply locks: comfortably
+  // above any sane worker count so two hot nodes rarely share a stripe,
+  // small enough that the mutex array stays cache-resident.
   static constexpr size_t kLockStripes = 64;
 
   Mutex& Stripe(const Channel& ch, NodeId endpoint) {
@@ -263,18 +231,18 @@ class IngestPipeline {
     return stripes_[(endpoint + ch.id * 0x9e3779b9u) % kLockStripes];
   }
 
-  const size_t batch_size_;
-  const size_t max_pending_;
-  const bool delta_mode_;
-  const size_t delta_min_batch_;
-  size_t queue_capacity_ = 0;  // per-queue bound (aggregate in delta mode)
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Delta mode only. A stripe is held across the sink apply call, so the
-  // wrapped sketch's COW own-stripe may be acquired UNDER it (the one
-  // sanctioned nesting pair; see src/core/sync.h). Dynamically striped,
-  // hence documented rather than GSKETCH_ACQUIRED_BEFORE-annotated — the
-  // attribute cannot name a runtime-chosen array element.
-  std::unique_ptr<Mutex[]> stripes_;
+  size_t queue_capacity_ = 0;  // max_pending_batches × workers
+  Mutex queue_mu_;
+  CondVar not_empty_;
+  CondVar not_full_;
+  std::deque<WorkItem> queue_ GSKETCH_GUARDED_BY(queue_mu_);
+  bool stopping_ GSKETCH_GUARDED_BY(queue_mu_) = false;
+  // A stripe is held across the sink apply call, so the wrapped sketch's
+  // COW own-stripe may be acquired UNDER it (the one sanctioned nesting
+  // pair; see src/core/sync.h). Dynamically striped, hence documented
+  // rather than GSKETCH_ACQUIRED_BEFORE-annotated — the attribute cannot
+  // name a runtime-chosen array element.
+  Mutex stripes_[kLockStripes];
   // Indexed by SessionId; detached slots stay null (ids are not reused).
   // Producer-side mutation only; workers never touch this vector (their
   // channel arrives inside the work item).

@@ -9,7 +9,7 @@
 // SessionManager keeps a name → SketchSession map over one pipeline:
 //
 //   SessionManager
-//   ├── IngestPipeline (shared: workers, queues, drain barrier, stripes)
+//   ├── IngestPipeline (shared: workers, queue, node stripes, drain)
 //   ├── "social"  → SketchSession { connectivity sketch, gutters,
 //   │                               SnapshotStore, scheduler, channel 0 }
 //   ├── "roads"   → SketchSession { mst sketch, ..., channel 1 }
@@ -17,10 +17,10 @@
 //
 // Isolation invariant (tests/session_test.cc): sessions apply to disjoint
 // sketch objects, so each tenant's sketch bytes and query answers under
-// co-hosting are byte-identical to that tenant running solo — in every
-// ingestion mode. Drains are per-session: checkpointing or snapshotting
-// one tenant never stalls the others' ingestion (they keep flowing
-// through the same workers during the barrier).
+// co-hosting are byte-identical to that tenant running solo — at every
+// worker count and gutter size. Drains are per-session: checkpointing or
+// snapshotting one tenant never stalls the others' ingestion (they keep
+// flowing through the same workers during the barrier).
 //
 // Threading: all SessionManager calls are producer-side (the pipeline's
 // single-producer contract), which is why `sessions_` and the memory
@@ -46,8 +46,8 @@ namespace gsketch {
 /// Name → session map over one shared pipeline (see file comment).
 class SessionManager {
  public:
-  /// The pipeline options (worker count, batch/queue sizing, delta mode)
-  /// are process-wide: every session ingests through this one pool.
+  /// The pipeline options (worker count, queue bound) are process-wide:
+  /// every session ingests through this one pool.
   explicit SessionManager(const PipelineOptions& opt = PipelineOptions());
 
   /// Closes every remaining session (draining each), then stops the pool.

@@ -122,8 +122,8 @@ void Ingest(LinearSketch* sk, const DynamicGraphStream& stream,
     default:
       break;
   }
-  // Mirror the CLI: algorithms that are not endpoint-sharded (triangles)
-  // ingest on one worker without gutters.
+  // Algorithms that are not endpoint-sharded (triangles) ingest on one
+  // worker, as in the CLI; gutter_bytes 0 clamps to one-entry gutters.
   if (!sk->EndpointSharded()) {
     opt.num_workers = 1;
     opt.gutter_bytes = 0;

@@ -312,7 +312,7 @@ TEST(SketchDriver, ConnectivityParityAcrossThreadCounts) {
     ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
     DriverOptions opt;
     opt.num_workers = threads;
-    opt.batch_size = 64;  // force many dispatches
+    opt.gutter_bytes = 64;  // force many flushes
     SketchDriver<ConnectivitySketch> driver(&parallel, opt);
     driver.ProcessStream(s);
     EXPECT_EQ(driver.StreamUpdates(), s.Size());
@@ -347,7 +347,7 @@ TEST(SketchDriver, BipartitenessParityAcrossThreadCounts) {
       BipartitenessSketch parallel(n, ForestOptions{}, kSeed);
       DriverOptions opt;
       opt.num_workers = threads;
-      opt.batch_size = 16;
+      opt.gutter_bytes = 64;  // force many flushes
       SketchDriver<BipartitenessSketch> driver(&parallel, opt);
       driver.ProcessStream(s);
       EXPECT_EQ(parallel.IsBipartite(), sequential.IsBipartite())
@@ -371,7 +371,7 @@ TEST(SketchDriver, SparsifierParityAcrossThreadCounts) {
     SimpleSparsifier parallel(kN, sopt, kSeed);
     DriverOptions opt;
     opt.num_workers = threads;
-    opt.batch_size = 32;
+    opt.gutter_bytes = 64;  // force many flushes
     SketchDriver<SimpleSparsifier> driver(&parallel, opt);
     driver.ProcessStream(s);
     EXPECT_EQ(SortedEdges(parallel.Extract()), expected)
@@ -393,10 +393,10 @@ TEST(SketchDriver, DestructionWithoutDrainAppliesEverything) {
   {
     DriverOptions opt;
     opt.num_workers = 3;
-    opt.batch_size = 16;
+    opt.gutter_bytes = 64;  // force many flushes
     SketchDriver<ConnectivitySketch> driver(&abandoned, opt);
     for (const auto& e : s.Updates()) driver.Push(e.u, e.v, e.delta);
-    // No Drain(): destruction must flush partial batches and wait.
+    // No Drain(): destruction must flush the gutters and wait.
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -426,8 +426,8 @@ TEST(SketchDriver, ZeroUpdateStreamIsWellDefined) {
 }
 
 TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
-  // max_pending_batches=1 forces the producer to block on every dispatch
-  // until the worker catches up — the tightest legal flow-control setting.
+  // max_pending_batches=1 forces the producer to block on most flushes
+  // until a worker catches up — the tightest legal flow-control setting.
   // Parity must survive the constant producer/worker handoff.
   constexpr NodeId kN = 48;
   constexpr uint64_t kSeed = 53;
@@ -440,8 +440,8 @@ TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
   {
     DriverOptions opt;
     opt.num_workers = 4;
-    opt.batch_size = 8;           // many small batches
-    opt.max_pending_batches = 1;  // single-slot queues: maximal contention
+    opt.gutter_bytes = 64;        // many small batches
+    opt.max_pending_batches = 1;  // one slot per worker: maximal contention
     SketchDriver<ConnectivitySketch> driver(&throttled, opt);
     driver.ProcessStream(s);
     EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
@@ -465,7 +465,7 @@ TEST(SketchDriver, ProcessFileMatchesInMemoryIngestion) {
   ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
   DriverOptions opt;
   opt.num_workers = 4;
-  opt.batch_size = 128;
+  opt.gutter_bytes = 64;  // force many flushes
   SketchDriver<ConnectivitySketch> driver(&parallel, opt);
   BinaryStreamReader reader(path);
   ASSERT_TRUE(reader.ok()) << reader.error();

@@ -432,7 +432,7 @@ TEST(GutterDriver, HotSpotSingleNodeStreamCoalesces) {
 
 TEST(GutterDriver, CheckpointResumeEquivalence) {
   // Gutter ingestion of a prefix, checkpoint, restore, gutter ingestion
-  // of the suffix == one uninterrupted ungated run, byte for byte.
+  // of the suffix == one uninterrupted sequential run, byte for byte.
   DynamicGraphStream s = TestStream(17);
   ASSERT_GT(s.Size(), 8u);
   const uint64_t cut = s.Size() / 2;
@@ -490,7 +490,6 @@ TEST(DriverDeltaWidth, AccumulatedDeltasBeyondInt32Survive) {
     SpanningForestSketch fresh(n, ForestOptions{}, kSeed);
     DriverOptions opt;
     opt.num_workers = 2;
-    opt.batch_size = 2;
     opt.gutter_bytes = gutter;
     SketchDriver<SpanningForestSketch> driver(&fresh, opt);
     for (int i = 0; i < 6; ++i) driver.Push(0, 1, kBig);

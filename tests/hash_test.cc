@@ -1,5 +1,5 @@
-// Tests for the randomness substrate: mixers, k-wise hashing, tabulation
-// hashing, Nisan's PRG, and the seeded RNG.
+// Tests for the randomness substrate: mixers, k-wise hashing, Nisan's
+// PRG, and the seeded RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "src/hash/nisan_prg.h"
 #include "src/hash/random.h"
 #include "src/hash/splitmix.h"
-#include "src/hash/tabulation_hash.h"
 
 namespace gsketch {
 namespace {
@@ -115,15 +114,6 @@ TEST(KWiseHash, PairwiseCollisionRateNearUniform) {
 TEST(KWiseHash, OutputInRange) {
   KWiseHash h(9, 3);
   for (uint64_t x = 0; x < 1000; ++x) EXPECT_LT(h(x), kMersenne61);
-}
-
-TEST(TabulationHash, DeterministicAndSpread) {
-  TabulationHash t(5);
-  EXPECT_EQ(t(123), t(123));
-  std::set<uint64_t> buckets;
-  for (uint64_t x = 0; x < 100; ++x) buckets.insert(t.Bucket(x, 16));
-  EXPECT_GE(buckets.size(), 12u);  // nearly all 16 buckets hit
-  for (uint64_t x = 0; x < 100; ++x) EXPECT_LT(t.Bucket(x, 16), 16u);
 }
 
 TEST(NisanPrg, WordAccessMatchesLevels) {

@@ -195,7 +195,6 @@ std::optional<ApproxMstSketch> ApproxMstSketch::Deserialize(ByteReader* r) {
   auto count = r->U32();
   if (!n || !count || *count == 0) return std::nullopt;
   std::vector<int64_t> thresholds;
-  thresholds.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
     auto t = r->I64();
     if (!t || *t < 1) return std::nullopt;
@@ -288,7 +287,7 @@ double KConnectivityTester::WitnessMinCut() const {
   // based, so strip them.
   Graph unit(h.NumNodes());
   for (const auto& e : h.Edges()) unit.AddEdge(e.u, e.v, 1.0);
-  return StoerWagnerMinCut(unit).value;
+  return MinCutValue(unit);
 }
 
 }  // namespace gsketch

@@ -47,22 +47,13 @@ void KEdgeConnectSketch::Merge(const KEdgeConnectSketch& other) {
 }
 
 Graph KEdgeConnectSketch::ExtractWitness() const {
-  // Peel forests layer by layer. F_1 decodes straight from layer 0 (it is
-  // only read); layers 1..k-1 get earlier forests deleted, so decoding
-  // works on copies of those to stay const. peeled[j] is layer j + 1.
+  // F_i is layer i's forest with F_1 ∪ ... ∪ F_{i-1} (the witness so far)
+  // cancelled inside its component sums; no layer is copied or written.
   Graph witness(n_);
-  if (layers_.empty()) return witness;
-  std::vector<SpanningForestSketch> peeled(layers_.begin() + 1, layers_.end());
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const SpanningForestSketch& layer = i == 0 ? layers_[0] : peeled[i - 1];
-    std::vector<WeightedEdge> forest_edges = layer.ExtractForest().Edges();
-    if (forest_edges.empty()) break;  // remaining layers see the same graph
-    for (const auto& e : forest_edges) {
-      witness.AddEdge(e.u, e.v, e.weight);
-    }
-    for (size_t j = i; j < peeled.size(); ++j) {
-      peeled[j].DeleteEdges(forest_edges);
-    }
+  for (const auto& layer : layers_) {
+    Graph forest = layer.ExtractForest(witness);
+    if (forest.NumEdges() == 0) break;  // remaining layers see the same graph
+    for (const auto& e : forest.Edges()) witness.AddEdge(e.u, e.v, e.weight);
   }
   return witness;
 }
@@ -88,7 +79,6 @@ std::optional<KEdgeConnectSketch> KEdgeConnectSketch::Deserialize(
   if (!n || !k || *k == 0) return std::nullopt;
   KEdgeConnectSketch sk;
   sk.n_ = *n;
-  sk.layers_.reserve(*k);
   for (uint32_t i = 0; i < *k; ++i) {
     auto layer = SpanningForestSketch::Deserialize(r);
     if (!layer || layer->num_nodes() != *n) return std::nullopt;

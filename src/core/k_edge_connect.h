@@ -5,7 +5,8 @@
 // Construction: k independent spanning-forest sketches of the same stream.
 // Decoding peels forests F_1, F_2, ...: F_i is a spanning forest of
 // G \ (F_1 ∪ ... ∪ F_{i-1}), obtained by *linearly cancelling* the earlier
-// forests' edges from sketch i before extraction. H = F_1 ∪ ... ∪ F_k has
+// forests' edges inside each Boruvka component sum of sketch i, so the
+// decode only reads the layers. H = F_1 ∪ ... ∪ F_k has
 // <= k(n-1) edges and certifies k-edge-connectivity: a cut of value < k
 // keeps all its edges in H, a cut of value >= k keeps at least k.
 #ifndef GRAPHSKETCH_SRC_CORE_K_EDGE_CONNECT_H_

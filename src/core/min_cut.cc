@@ -85,15 +85,17 @@ MinCutEstimate MinCutSketch::Estimate() const {
   // The first level whose witness cut drops below k resolves the estimate.
   // If every level stays k-connected (only for graphs extremely dense
   // relative to the hierarchy depth), the deepest level's cut — the last
-  // one computed — is reported unresolved.
+  // one computed — is reported unresolved. Levels are scanned by value
+  // only; the reported level's witness is cut once more for a side.
   MinCutEstimate est;
   for (uint32_t i = 0; i < levels_.size(); ++i) {
-    MinCutResult cut = StoerWagnerMinCut(levels_[i].ExtractWitness());
-    est.resolved = cut.value < static_cast<double>(k_);
+    Graph witness = levels_[i].ExtractWitness();
+    const double value = MinCutValue(witness);
+    est.resolved = value < static_cast<double>(k_);
     if (est.resolved || i + 1 == levels_.size()) {
-      est.value = std::ldexp(cut.value, static_cast<int>(i));  // 2^i * λ(H_i)
+      est.value = std::ldexp(value, static_cast<int>(i));  // 2^i * λ(H_i)
       est.level = i;
-      est.side = std::move(cut.side);
+      est.side = StoerWagnerMinCut(witness).side;
       break;
     }
   }
@@ -127,7 +129,6 @@ std::optional<MinCutSketch> MinCutSketch::Deserialize(ByteReader* r) {
     return std::nullopt;
   }
   MinCutSketch sk(*n, *k, SamplingLevels(*max_level, *seed));
-  sk.levels_.reserve(*num_levels);
   for (uint32_t i = 0; i < *num_levels; ++i) {
     auto level = KEdgeConnectSketch::Deserialize(r);
     if (!level || level->num_nodes() != *n) return std::nullopt;

@@ -176,7 +176,6 @@ std::optional<SimpleSparsifier> SimpleSparsifier::Deserialize(ByteReader* r) {
     return std::nullopt;
   }
   SimpleSparsifier sk(*n, *k, SamplingLevels(*max_level, *seed));
-  sk.levels_.reserve(*num_levels);
   for (uint32_t i = 0; i < *num_levels; ++i) {
     auto level = KEdgeConnectSketch::Deserialize(r);
     if (!level || level->num_nodes() != *n) return std::nullopt;

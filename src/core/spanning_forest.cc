@@ -59,7 +59,14 @@ void SpanningForestSketch::Merge(const SpanningForestSketch& other) {
   for (size_t i = 0; i < banks_.size(); ++i) banks_[i].Merge(other.banks_[i]);
 }
 
-Graph SpanningForestSketch::ExtractForest() const {
+Graph SpanningForestSketch::ExtractForest() const { return Extract(nullptr); }
+
+Graph SpanningForestSketch::ExtractForest(const Graph& minus) const {
+  assert(minus.NumNodes() == n_);
+  return Extract(&minus);
+}
+
+Graph SpanningForestSketch::Extract(const Graph* minus) const {
   Graph forest(n_);
   UnionFind uf(n_);
   // Component member lists, merged small-into-large.
@@ -77,6 +84,17 @@ Graph SpanningForestSketch::ExtractForest() const {
     for (NodeId v = 0; v < n_; ++v) {
       if (uf.Find(v) != v) continue;
       L0Sampler sum = bank.SumOver(members[v]);
+      if (minus != nullptr) {
+        // A `minus` edge inside the component cancels in the sum; one
+        // leaving it is streamed out of the member's incidence vector.
+        for (NodeId x : members[v]) {
+          for (const auto& [y, w] : minus->Neighbors(x)) {
+            if (uf.Find(y) == v) continue;
+            sum.Update(EdgeId(x, y),
+                       -static_cast<int64_t>(w) * IncidenceSign(x, x, y));
+          }
+        }
+      }
       auto sample = sum.Sample();
       if (!sample.has_value()) continue;
       auto [a, b] = EdgeEndpoints(sample->index);
@@ -103,12 +121,6 @@ size_t SpanningForestSketch::CountComponents() const {
   return forest.NumComponents();
 }
 
-void SpanningForestSketch::DeleteEdges(const std::vector<WeightedEdge>& edges) {
-  for (const auto& e : edges) {
-    Update(e.u, e.v, -static_cast<int64_t>(e.weight));
-  }
-}
-
 size_t SpanningForestSketch::CellCount() const {
   size_t total = 0;
   for (const auto& bank : banks_) total += bank.CellCount();
@@ -132,7 +144,6 @@ std::optional<SpanningForestSketch> SpanningForestSketch::Deserialize(
   if (!n || !rounds) return std::nullopt;
   SpanningForestSketch sk;
   sk.n_ = *n;
-  sk.banks_.reserve(*rounds);
   for (uint32_t i = 0; i < *rounds; ++i) {
     auto bank = NodeL0Bank::Deserialize(r);
     if (!bank || bank->num_nodes() != *n) return std::nullopt;

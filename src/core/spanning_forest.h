@@ -61,12 +61,15 @@ class SpanningForestSketch {
   /// the sketch.
   Graph ExtractForest() const;
 
+  /// Extracts a spanning forest of the streamed graph minus the edges of
+  /// `minus` (an n-node graph whose weights are multiplicities present in
+  /// the stream), as ExtractForest() would on a copy of this sketch with
+  /// `minus` streamed out. By linearity the cancellation happens inside
+  /// each component sum, so no bank is copied or written.
+  Graph ExtractForest(const Graph& minus) const;
+
   /// Number of connected components implied by ExtractForest().
   size_t CountComponents() const;
-
-  /// Applies a batch of edge deletions (used by k-EDGECONNECT peeling).
-  /// `weight` entries give the multiplicity to remove per edge.
-  void DeleteEdges(const std::vector<WeightedEdge>& edges);
 
   /// Total 1-sparse cells (space proxy).
   size_t CellCount() const;
@@ -82,6 +85,7 @@ class SpanningForestSketch {
 
  private:
   SpanningForestSketch() = default;
+  Graph Extract(const Graph* minus) const;
   NodeId n_ = 0;
   std::vector<NodeL0Bank> banks_;  // one per Boruvka round
 };

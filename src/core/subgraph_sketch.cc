@@ -151,7 +151,6 @@ std::optional<SubgraphSketch> SubgraphSketch::Deserialize(ByteReader* r) {
   }
   uint64_t columns = Binomial(*n, *order);
   std::vector<L0Sampler> samplers;
-  samplers.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
     auto s = L0Sampler::Deserialize(r);
     if (!s || s->domain() != columns) return std::nullopt;

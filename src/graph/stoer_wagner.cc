@@ -6,6 +6,8 @@
 #include <queue>
 #include <utility>
 
+#include "src/graph/union_find.h"
+
 namespace gsketch {
 
 namespace {
@@ -97,6 +99,72 @@ class AdjacencyQueue {
   std::vector<NodeId> heap_;
 };
 
+// A graph on super-nodes [0, size()) in CSR form, parallel edges summed and
+// self-loops dropped.
+struct ContractedGraph {
+  std::vector<size_t> first{0};
+  std::vector<std::pair<NodeId, double>> adj;
+
+  NodeId size() const { return static_cast<NodeId>(first.size() - 1); }
+
+  double MinWeightedDegree() const {
+    double best = 0.0;
+    for (NodeId v = 0; v < size(); ++v) {
+      double degree = 0.0;
+      for (size_t e = first[v]; e < first[v + 1]; ++e) degree += adj[e].second;
+      if (v == 0 || degree < best) best = degree;
+    }
+    return best;
+  }
+
+  // The graph with every set of `uf` merged into one super-node, numbered
+  // in order of each set's smallest member.
+  ContractedGraph Contract(UnionFind* uf) const {
+    const NodeId n = size();
+    std::vector<NodeId> label(n);
+    NodeId sets = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (uf->Find(v) == v) label[v] = sets++;
+    }
+    // Members grouped by set (counting sort on the set label).
+    std::vector<size_t> start(sets + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      label[v] = label[uf->Find(v)];
+      ++start[label[v] + 1];
+    }
+    for (NodeId s = 0; s < sets; ++s) start[s + 1] += start[s];
+    std::vector<NodeId> members(n);
+    std::vector<size_t> fill(start.begin(), start.end() - 1);
+    for (NodeId v = 0; v < n; ++v) members[fill[label[v]]++] = v;
+
+    ContractedGraph out;
+    out.first.reserve(sets + 1);
+    out.adj.reserve(adj.size());
+    // While s is built, edge (s, t) sits at out.adj[slot[t]] iff
+    // owner[t] == s.
+    std::vector<size_t> slot(sets);
+    std::vector<NodeId> owner(sets, sets);
+    for (NodeId s = 0; s < sets; ++s) {
+      for (size_t i = start[s]; i < start[s + 1]; ++i) {
+        const NodeId x = members[i];
+        for (size_t e = first[x]; e < first[x + 1]; ++e) {
+          const NodeId t = label[adj[e].first];
+          if (t == s) continue;
+          if (owner[t] == s) {
+            out.adj[slot[t]].second += adj[e].second;
+          } else {
+            owner[t] = s;
+            slot[t] = out.adj.size();
+            out.adj.emplace_back(t, adj[e].second);
+          }
+        }
+      }
+      out.first.push_back(out.adj.size());
+    }
+    return out;
+  }
+};
+
 }  // namespace
 
 MinCutResult StoerWagnerMinCut(const Graph& g) {
@@ -172,6 +240,51 @@ MinCutResult StoerWagnerMinCut(const Graph& g) {
   }
   std::sort(best.side.begin(), best.side.end());
   return best;
+}
+
+double MinCutValue(const Graph& g) {
+  const NodeId n = g.NumNodes();
+  if (n < 2 || g.NumComponents() > 1) return 0.0;
+
+  ContractedGraph h;
+  h.first.reserve(n + 1);
+  for (NodeId u = 0; u < n; ++u) {
+    h.adj.insert(h.adj.end(), g.Neighbors(u).begin(), g.Neighbors(u).end());
+    h.first.push_back(h.adj.size());
+  }
+
+  // Every super-node's weighted degree is a cut, so the smallest bounds λ.
+  AdjacencyQueue queue(n);
+  std::vector<NodeId> ids;
+  double best = h.MinWeightedDegree();
+  for (;;) {
+    // One maximum-adjacency order. When u's key reaches `best` right after
+    // `last` was scanned, λ(last, u) >= key(u) >= best: no cut below `best`
+    // separates them, so they may be merged.
+    const NodeId size = h.size();
+    ids.resize(size);
+    for (NodeId v = 0; v < size; ++v) ids[v] = v;
+    queue.Reset(ids);
+    UnionFind uf(size);
+    NodeId prev = size, last = size;
+    for (NodeId step = 0; step < size; ++step) {
+      prev = last;
+      last = queue.PopMax();
+      for (size_t e = h.first[last]; e < h.first[last + 1]; ++e) {
+        const NodeId u = h.adj[e].first;
+        if (!queue.Contains(u)) continue;
+        queue.Add(u, h.adj[e].second);
+        if (queue.Key(u) >= best) uf.Union(last, u);
+      }
+    }
+    // The cut of the phase is key(last), the weighted degree of `last`,
+    // which `best` already bounds; it is also λ(prev, last), so prev and
+    // last merge as well.
+    uf.Union(prev, last);
+    if (uf.NumComponents() == 1) return best;
+    h = h.Contract(&uf);
+    best = std::min(best, h.MinWeightedDegree());
+  }
 }
 
 }  // namespace gsketch

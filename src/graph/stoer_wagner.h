@@ -1,6 +1,7 @@
-// Stoer–Wagner global minimum cut: the exact baseline for Fig. 1 / Thm 3.2
-// experiments and the post-processing oracle applied to the small witness
-// graphs H_i produced by k-EDGECONNECT.
+// Exact global minimum cut: the baseline for Fig. 1 / Thm 3.2 experiments
+// and the post-processing applied to the small witness graphs H_i produced
+// by k-EDGECONNECT (StoerWagnerMinCut when a side is needed, MinCutValue
+// when only the value is read).
 #ifndef GRAPHSKETCH_SRC_GRAPH_STOER_WAGNER_H_
 #define GRAPHSKETCH_SRC_GRAPH_STOER_WAGNER_H_
 
@@ -24,6 +25,17 @@ struct MinCutResult {
 /// integer weights. A disconnected graph returns value 0 with one component
 /// as the side. Graphs with fewer than 2 nodes return 0.
 MinCutResult StoerWagnerMinCut(const Graph& g);
+
+/// The value of StoerWagnerMinCut(g) without a side, for decodes that only
+/// read the value. Nagamochi–Ibaraki contraction: each phase bounds the cut
+/// by the minimum weighted degree, runs one maximum-adjacency order that
+/// merges every scanned pair whose key proves a connectivity of at least
+/// the bound, merges the phase's last two nodes, and contracts the merged
+/// sets. A k-EDGECONNECT witness settles in a few
+/// phases instead of n − 1. Exact on integer weights; other nonnegative
+/// weights match up to summation order. Same n < 2 and disconnected rules
+/// (value 0).
+double MinCutValue(const Graph& g);
 
 }  // namespace gsketch
 

@@ -285,6 +285,45 @@ TEST(StoerWagner, SparseMatchesDenseOracleOnFractionalWeights) {
   }
 }
 
+TEST(MinCutValue, MatchesStoerWagnerOnOracleCorpus) {
+  // The contraction algorithm must return exactly StoerWagnerMinCut's value
+  // on integer weights: the oracle corpus (n in {0, 1, 2}, disconnected
+  // graphs, multiplicities) and both witness-shaped n = 512 graphs.
+  int disconnected = 0;
+  for (const auto& [tag, g] : IntegerWeightedCorpus()) {
+    EXPECT_EQ(MinCutValue(g), StoerWagnerMinCut(g).value) << tag;
+    if (g.NumNodes() >= 2 && g.NumComponents() > 1) {
+      EXPECT_EQ(MinCutValue(g), 0.0) << tag;
+      ++disconnected;
+    }
+  }
+  EXPECT_GE(disconnected, 20) << "corpus lost its disconnected cases";
+  EXPECT_EQ(MinCutValue(Graph(0)), 0.0);
+  EXPECT_EQ(MinCutValue(Graph(1)), 0.0);
+  Graph pair(2);
+  pair.AddEdge(0, 1, 2.5);
+  EXPECT_EQ(MinCutValue(pair), 2.5);
+  for (uint64_t seed : {7, 8}) {
+    Graph h = PeeledForestUnion(512, 0.02, 3, seed == 7 ? 1 : 3, seed);
+    ASSERT_EQ(h.NumComponents(), 1u);
+    EXPECT_EQ(MinCutValue(h), StoerWagnerMinCut(h).value) << seed;
+  }
+  // Fractional weights: only the summation order differs.
+  Rng rng(99);
+  for (uint64_t seed = 2000; seed < 2040; ++seed) {
+    const NodeId n = static_cast<NodeId>(4 + rng.Below(30));
+    Graph g = ErdosRenyi(n, 0.3, seed);
+    Graph weighted(n);
+    for (const auto& e : g.Edges()) {
+      weighted.AddEdge(e.u, e.v, 0.01 + rng.Unit() * 9.99);
+    }
+    const double want = StoerWagnerMinCut(weighted).value;
+    EXPECT_NEAR(MinCutValue(weighted), want,
+                1e-9 * std::max(1.0, std::abs(want)))
+        << seed;
+  }
+}
+
 TEST(Dinic, SeriesParallel) {
   Graph g(4);
   g.AddEdge(0, 1, 3.0);

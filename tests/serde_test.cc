@@ -2,10 +2,16 @@
 // deserialized sketches, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 
+#include "src/core/connectivity_suite.h"
+#include "src/core/k_edge_connect.h"
+#include "src/core/min_cut.h"
 #include "src/core/node_sketch.h"
+#include "src/core/simple_sparsifier.h"
 #include "src/core/spanning_forest.h"
+#include "src/core/subgraph_sketch.h"
 #include "src/graph/generators.h"
 #include "src/sketch/l0_sampler.h"
 #include "src/sketch/serde.h"
@@ -163,6 +169,56 @@ TEST(Serde, ShippedForestSketchMergesWithLocal) {
   ASSERT_TRUE(shipped.has_value());
   coord.Merge(*shipped);
   EXPECT_EQ(coord.CountComponents(), whole.CountComponents());
+}
+
+// Headers claiming 2^32 - 1 layers over an 8-node graph, followed by no
+// layer at all. Parsing must fail at the first missing layer instead of
+// allocating for the claimed count.
+constexpr uint32_t kHostileCount = 0xFFFFFFFFu;
+
+std::string HostilePayload(std::initializer_list<uint32_t> words) {
+  std::string buf;
+  ByteWriter w(&buf);
+  for (uint32_t word : words) w.U32(word);
+  return buf;
+}
+
+TEST(Serde, KEdgeConnectRejectsHostileLayerCount) {
+  const std::string buf = HostilePayload({0x4b454353u, 8, kHostileCount});
+  ASSERT_EQ(buf.size(), 12u);
+  ByteReader r(buf);
+  EXPECT_FALSE(KEdgeConnectSketch::Deserialize(&r).has_value());
+}
+
+TEST(Serde, SpanningForestRejectsHostileRoundCount) {
+  const std::string buf = HostilePayload({0x53464b53u, 8, kHostileCount});
+  ASSERT_EQ(buf.size(), 12u);
+  ByteReader r(buf);
+  EXPECT_FALSE(SpanningForestSketch::Deserialize(&r).has_value());
+}
+
+TEST(Serde, LayeredSketchesRejectHostileCounts) {
+  // min cut / sparsifier: magic, n, k, max_level, seed (U64), levels.
+  for (uint32_t magic : {0x4d435554u, 0x53505346u}) {
+    const std::string buf =
+        HostilePayload({magic, 8, 3, 6, 1, 0, kHostileCount});
+    ByteReader r(buf);
+    const bool parsed = magic == 0x4d435554u
+                            ? MinCutSketch::Deserialize(&r).has_value()
+                            : SimpleSparsifier::Deserialize(&r).has_value();
+    EXPECT_FALSE(parsed) << std::hex << magic;
+  }
+  {  // approximate MST: magic, n, thresholds/forests count.
+    const std::string buf = HostilePayload({0x4d535457u, 8, kHostileCount});
+    ByteReader r(buf);
+    EXPECT_FALSE(ApproxMstSketch::Deserialize(&r).has_value());
+  }
+  {  // subgraph sketch: magic, n, order, sampler count.
+    const std::string buf =
+        HostilePayload({0x53554247u, 8, 3, kHostileCount});
+    ByteReader r(buf);
+    EXPECT_FALSE(SubgraphSketch::Deserialize(&r).has_value());
+  }
 }
 
 TEST(Serde, WireSizeMatchesCellCount) {

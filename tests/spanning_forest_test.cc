@@ -1,11 +1,15 @@
 // Tests for the AGM spanning-forest sketch and k-EDGECONNECT (Thm 2.3).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/k_edge_connect.h"
 #include "src/core/spanning_forest.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
+#include "src/sketch/serde.h"
 
 namespace gsketch {
 namespace {
@@ -20,6 +24,45 @@ void Feed(SpanningForestSketch* sk, const Graph& g) {
   for (const auto& e : g.Edges()) {
     sk->Update(e.u, e.v, static_cast<int64_t>(e.weight));
   }
+}
+
+// Two decodes must list the same edges (u, v, weight) in the same order.
+void ExpectSameEdges(const Graph& got, const Graph& want,
+                     const std::string& tag) {
+  const std::vector<WeightedEdge> a = got.Edges(), b = want.Edges();
+  ASSERT_EQ(a.size(), b.size()) << tag;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].u, b[i].u) << tag << " edge " << i;
+    EXPECT_EQ(a[i].v, b[i].v) << tag << " edge " << i;
+    EXPECT_EQ(a[i].weight, b[i].weight) << tag << " edge " << i;
+  }
+}
+
+// Test-local oracle: the copy-and-delete peel that ExtractWitness ran
+// before it cancelled forests inside the component sums. The layers are
+// read back from the sketch's wire format (magic, n, k, then k forest
+// sketches); each later layer copy gets every earlier forest streamed out.
+Graph CopyPeelWitness(const KEdgeConnectSketch& sk) {
+  std::string wire;
+  sk.AppendTo(&wire);
+  ByteReader r(wire);
+  for (int header = 0; header < 3; ++header) r.U32();
+  std::vector<SpanningForestSketch> peeled;
+  for (uint32_t i = 0; i < sk.k(); ++i) {
+    peeled.push_back(*SpanningForestSketch::Deserialize(&r));
+  }
+  Graph witness(sk.num_nodes());
+  for (size_t i = 0; i < peeled.size(); ++i) {
+    std::vector<WeightedEdge> forest_edges = peeled[i].ExtractForest().Edges();
+    if (forest_edges.empty()) break;
+    for (const auto& e : forest_edges) witness.AddEdge(e.u, e.v, e.weight);
+    for (size_t j = i + 1; j < peeled.size(); ++j) {
+      for (const auto& e : forest_edges) {
+        peeled[j].Update(e.u, e.v, -static_cast<int64_t>(e.weight));
+      }
+    }
+  }
+  return witness;
 }
 
 TEST(SpanningForest, ConnectedGraphYieldsSpanningTree) {
@@ -89,6 +132,57 @@ TEST(SpanningForest, CountComponentsAgainstTruth) {
     SpanningForestSketch sk(48, TestForestOptions(), 100 + seed);
     Feed(&sk, g);
     EXPECT_EQ(sk.CountComponents(), g.NumComponents()) << seed;
+  }
+}
+
+TEST(SpanningForest, ExtractMinusMatchesStreamedOutCopy) {
+  // ExtractForest(minus) cancels `minus` inside each component sum; it must
+  // decode exactly what ExtractForest() decodes on a copy of the sketch
+  // with `minus` streamed out.
+  int multiplicity_two = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const NodeId n = 16 + static_cast<NodeId>(seed % 4) * 12;
+    const double p = seed % 3 == 0 ? 0.06 : 0.25;
+    Graph g = WithRandomWeights(ErdosRenyi(n, p, seed), 3, seed);
+    SpanningForestSketch sk(n, TestForestOptions(), 500 + seed);
+    Feed(&sk, g);
+    // minus: a spanning forest of g with its multiplicities, plus about a
+    // third of the other edges, which lie inside the forest's components.
+    Graph minus = sk.ExtractForest();
+    Rng rng(seed);
+    for (const auto& e : g.Edges()) {
+      if (!minus.HasEdge(e.u, e.v) && rng.Coin(0.3)) {
+        minus.AddEdge(e.u, e.v, e.weight);
+      }
+    }
+    for (const auto& e : minus.Edges()) multiplicity_two += e.weight == 2.0;
+    SpanningForestSketch copy = sk;
+    for (const auto& e : minus.Edges()) {
+      copy.Update(e.u, e.v, -static_cast<int64_t>(e.weight));
+    }
+    ExpectSameEdges(sk.ExtractForest(minus), copy.ExtractForest(),
+                    "seed=" + std::to_string(seed));
+  }
+  EXPECT_GT(multiplicity_two, 0) << "no multiplicity-2 edge was cancelled";
+}
+
+TEST(KEdgeConnect, WitnessMatchesCopyPeelOracle) {
+  // Dense and sparse graphs with multiplicities and churn, k in {2, 3, 4};
+  // the sparse ones run out of edges before the last layer.
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const NodeId n = 20 + static_cast<NodeId>(seed % 3) * 20;
+    const uint32_t k = 2 + static_cast<uint32_t>(seed % 3);
+    const double p = seed % 2 == 1 ? 0.3 : 0.08;
+    Graph g = WithRandomWeights(ErdosRenyi(n, p, seed), 2, seed);
+    KEdgeConnectSketch sk(n, k, TestForestOptions(), 900 + seed);
+    for (const auto& e : g.Edges()) {
+      sk.Update(e.u, e.v, static_cast<int64_t>(e.weight));
+    }
+    Graph churn = ErdosRenyi(n, 0.1, seed + 100);
+    for (const auto& e : churn.Edges()) sk.Update(e.u, e.v, 1);
+    for (const auto& e : churn.Edges()) sk.Update(e.u, e.v, -1);
+    ExpectSameEdges(sk.ExtractWitness(), CopyPeelWitness(sk),
+                    "seed=" + std::to_string(seed));
   }
 }
 

@@ -1,15 +1,14 @@
 // E14: gutter-buffered ingestion throughput.
 //
-// Generates a multigraph update stream (inserts + churn deletions) and
-// ingests it into a ConnectivitySketch through SketchDriver on ONE worker
-// at two gutter sizes — tiny (64 B/node ≈ 5 updates) and the default
-// (4 KiB/node ≈ 341 updates) — so the measured delta is purely the gutter
-// layer: per-node coalescing plus the ApplyBatch fast path that hashes an
-// endpoint's sampler slices once per flush instead of once per few
-// updates. A skewed
-// (hot-spot) stream shows the coalescing win separately from the
-// batching win. Linearity keeps every answer identical across settings
-// (ctest -L parity proves byte equality).
+// Generates a multigraph update stream (inserts + churn deletions) and ingests
+// it into a connectivity sketch through a one-session SessionManager on ONE
+// worker at two gutter sizes — tiny (64 B/node ≈ 5 updates) and the default
+// (4 KiB/node ≈ 341 updates) — so the measured delta is purely the gutter layer:
+// per-node coalescing plus the ApplyBatch fast path that hashes an endpoint's
+// sampler slices once per flush instead of once per few updates. A skewed
+// (hot-spot) stream shows the coalescing win separately from the batching win.
+// Linearity keeps every answer identical across settings (ctest -L parity
+// proves byte equality).
 //
 // Usage: bench_gutter [n] [num_updates]
 //   defaults: n=1024, num_updates=1000000
@@ -19,9 +18,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/connectivity_suite.h"
-#include "src/driver/sketch_driver.h"
 #include "src/graph/stream.h"
+#include "src/session/session_manager.h"
 #include "src/workload/stream_generator.h"
 
 namespace gsketch {
@@ -37,21 +35,28 @@ struct Sample {
 
 Sample RunOnce(const DynamicGraphStream& stream, NodeId n,
                size_t gutter_bytes) {
-  ConnectivitySketch sketch(n, ForestOptions{}, /*seed=*/1);
-  DriverOptions opt;
-  opt.num_workers = 1;
-  opt.gutter_bytes = gutter_bytes;
+  SessionConfig cfg;
+  cfg.num_nodes = n;
+  cfg.seed = 1;
+  cfg.gutter_bytes = gutter_bytes;
+  SessionManager manager;  // one worker
+  std::string error;
+  SketchSession* s = manager.Create("graph", "connectivity", cfg, &error);
+  if (s == nullptr) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return Sample{};
+  }
   Sample out;
   bench::Timer timer;
-  {
-    SketchDriver<ConnectivitySketch> driver(&sketch, opt);
-    driver.ProcessStream(stream);
-    out.flushes = driver.gutters()->flushes();
-    out.coalesced = driver.gutters()->coalesced_halves();
-  }
+  for (const auto& e : stream.Updates()) s->Push(e.u, e.v, e.delta);
+  s->Drain();
   out.seconds = timer.Seconds();
   out.rate = static_cast<double>(stream.Size()) / out.seconds;
-  out.components = sketch.NumComponents();
+  out.flushes = s->gutters()->flushes();
+  out.coalesced = s->gutters()->coalesced_halves();
+  std::string components;
+  s->sketch().Query("components", &components, &error);
+  out.components = std::strtoull(components.c_str(), nullptr, 10);
   return out;
 }
 

@@ -1,9 +1,10 @@
 // E13: ingestion throughput of the batched parallel driver.
 //
 // Generates a multigraph update stream (inserts + churn deletions), writes
-// it to a GSKB binary file, then ingests it into a ConnectivitySketch
-// through SketchDriver at increasing worker counts, reporting updates/sec
-// and speedup over one worker. The driver runs its one ingestion path:
+// it to a GSKB binary file, then ingests it into a connectivity sketch
+// through a one-session SessionManager at increasing worker counts,
+// reporting updates/sec and speedup over one worker. The session runs
+// the one ingestion path:
 // default 4 KiB per-node gutters flush dense batches onto a shared queue
 // and any worker applies a batch under its node's stripe lock, so scaling
 // is limited only by cores and the single producer thread.
@@ -17,10 +18,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/connectivity_suite.h"
 #include "src/driver/binary_stream.h"
-#include "src/driver/sketch_driver.h"
 #include "src/graph/stream.h"
+#include "src/session/session_manager.h"
 #include "src/workload/stream_generator.h"
 
 namespace gsketch {
@@ -55,29 +55,44 @@ int Run(NodeId n, size_t updates, uint32_t max_threads) {
   double base_rate = 0.0;
   double best_rate = 0.0;
   for (uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    ConnectivitySketch sketch(n, ForestOptions{}, /*seed=*/1);
+    PipelineOptions popt;
+    popt.num_workers = threads;
+    SessionManager manager(popt);
+    SessionConfig cfg;
+    cfg.num_nodes = n;
+    cfg.seed = 1;
+    std::string error;
+    SketchSession* s = manager.Create("graph", "connectivity", cfg, &error);
+    if (s == nullptr) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 1;
+    }
     // Sketch cells dominate memory; with arena banks this is also (almost
     // exactly) the allocated footprint, not just a lower bound.
     double bytes_per_node =
-        static_cast<double>(sketch.CellCount() * sizeof(OneSparseCell)) / n;
-    DriverOptions opt;
-    opt.num_workers = threads;
+        static_cast<double>(s->sketch().CellCount() *
+                            sizeof(OneSparseCell)) /
+        n;
 
     BinaryStreamReader reader(path);
     if (!reader.ok()) {
       std::fprintf(stderr, "error: %s\n", reader.error().c_str());
       return 1;
     }
-    uint32_t resolved = 0;  // driver-resolved worker count, not the flag
+    // The pipeline-resolved worker count, not the flag.
+    const uint32_t resolved = manager.pipeline().num_workers();
     bench::Timer timer;
-    {
-      SketchDriver<ConnectivitySketch> driver(&sketch, opt);
-      resolved = driver.num_workers();
-      if (!driver.ProcessFile(&reader)) {
-        std::fprintf(stderr, "error: ingestion failed: %s\n",
-                     reader.error().c_str());
-        return 1;
-      }
+    std::vector<EdgeUpdate> batch;
+    while (!reader.Done() && reader.ok()) {
+      batch.clear();
+      if (reader.ReadBatch(4096, &batch) == 0) break;
+      for (const auto& e : batch) s->Push(e.u, e.v, e.delta);
+    }
+    s->Drain();
+    if (!reader.ok() || !reader.Done()) {
+      std::fprintf(stderr, "error: ingestion failed: %s\n",
+                   reader.error().c_str());
+      return 1;
     }
     double seconds = timer.Seconds();
     double rate = static_cast<double>(stream.Size()) / seconds;
@@ -87,9 +102,10 @@ int Run(NodeId n, size_t updates, uint32_t max_threads) {
       json.Metric("bytes_per_node", bytes_per_node);
     }
     if (rate > best_rate) best_rate = rate;
-    bench::Row("%-8u %14.3f %14.0f %9.2fx %14.0f %12zu", resolved, seconds,
-               rate, rate / base_rate, bytes_per_node,
-               sketch.NumComponents());
+    std::string components;
+    s->sketch().Query("components", &components, &error);
+    bench::Row("%-8u %14.3f %14.0f %9.2fx %14.0f %12s", resolved, seconds,
+               rate, rate / base_rate, bytes_per_node, components.c_str());
   }
   json.Metric("updates_per_sec_best", best_rate);
   json.Metric("speedup_best", base_rate > 0 ? best_rate / base_rate : 0.0);

@@ -2,8 +2,9 @@
 // ingest throughput penalty of periodic snapshots.
 //
 // Ingests a uniform multigraph stream (same generator shape as E13/E14,
-// so the numbers compare directly) into a ConnectivitySketch through the
-// gutter-buffered driver while taking drain-barrier snapshots at a sweep
+// so the numbers compare directly) into a connectivity sketch through a
+// one-session SessionManager while taking drain-barrier snapshots at a
+// sweep
 // of wall-clock intervals — off, 1 s, 100 ms, and 10 ms — and answering
 // one "components" query per snapshot on the QueryEngine thread. With the
 // COW-paged arenas a snapshot is a drain barrier plus an O(pages) fork,
@@ -15,7 +16,7 @@
 // bench_compare gates every snapshot_publish_ms* key lower-is-better.
 //
 // A second mini-run measures the eager exact-connectivity fast path: an
-// insert-only stream with DriverOptions::eager_connectivity keeps a DSU
+// insert-only stream with SessionConfig::eager_connectivity keeps a DSU
 // beside the sketch, snapshots carry its exact partition, and a
 // "connected u v" answered from it (EagerAnswer) touches no sketch
 // decode. Target: p99 well under 1 ms.
@@ -31,7 +32,6 @@
 #include "bench/bench_util.h"
 #include "src/core/sketch_registry.h"
 #include "src/driver/binary_stream.h"
-#include "src/driver/sketch_driver.h"
 #include "src/driver/snapshot.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
@@ -88,28 +88,40 @@ struct Sample {
   uint64_t answered = 0;
 };
 
+// The one-session manager both runs below use: connectivity on one
+// worker with default 4 KiB gutters.
+SketchSession* OpenGraph(SessionManager* manager, NodeId n,
+                         SessionConfig cfg) {
+  cfg.num_nodes = n;
+  cfg.seed = 1;
+  std::string error;
+  SketchSession* s = manager->Create("graph", "connectivity", cfg, &error);
+  if (s == nullptr) std::fprintf(stderr, "error: %s\n", error.c_str());
+  return s;
+}
+
 Sample RunOnce(const DynamicGraphStream& stream, NodeId n,
                double interval_seconds) {
-  auto sk = FindAlg("connectivity")->make(n, AlgOptions{}, /*seed=*/1);
-  DriverOptions opt;
-  opt.num_workers = 1;
-  opt.gutter_bytes = 4096;
   Sample out;
   std::vector<double> drain_ms;
   std::vector<double> publish_ms;
-  std::FILE* devnull = std::fopen("/dev/null", "w");
+  std::FILE* devnull = nullptr;
   {
-    SketchDriver<LinearSketch> driver(sk.get(), opt);
-    SnapshotStore store;
-    QueryEngine engine(&store, devnull != nullptr ? devnull : stderr);
+    SessionManager manager;
+    SessionConfig cfg;
+    cfg.snapshot_interval_seconds = interval_seconds;
+    SketchSession* s = OpenGraph(&manager, n, cfg);
+    if (s == nullptr) return out;
+    devnull = std::fopen("/dev/null", "w");
+    QueryEngine engine(&s->store(), devnull != nullptr ? devnull : stderr);
     bench::Timer timer;
-    SnapshotScheduler scheduler(interval_seconds);
+    SnapshotScheduler& scheduler = s->scheduler();
     for (const auto& e : stream.Updates()) {
       if (interval_seconds > 0) {
         double now = timer.Seconds();
         if (scheduler.Due(now)) {
           SnapshotTiming timing;
-          PublishSnapshot(&driver, &store, &timing);
+          s->Publish(&timing);
           scheduler.Taken(timer.Seconds());
           drain_ms.push_back(timing.drain_ms);
           publish_ms.push_back(timing.publish_ms);
@@ -117,9 +129,9 @@ Sample RunOnce(const DynamicGraphStream& stream, NodeId n,
           engine.Submit("components");
         }
       }
-      driver.Push(e.u, e.v, e.delta);
+      s->Push(e.u, e.v, e.delta);
     }
-    driver.Drain();
+    s->Drain();
     out.seconds = timer.Seconds();
     out.coalesced = scheduler.coalesced();
     engine.Finish();
@@ -151,15 +163,13 @@ struct EagerSample {
 EagerSample RunEager(NodeId n, size_t updates) {
   DynamicGraphStream stream =
       UniformStream(n, updates, /*seed=*/54321, /*churn=*/false);
-  auto sk = FindAlg("connectivity")->make(n, AlgOptions{}, /*seed=*/1);
-  DriverOptions opt;
-  opt.num_workers = 1;
-  opt.gutter_bytes = 4096;
-  opt.eager_connectivity = true;
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
-  SnapshotStore store;
-  for (const auto& e : stream.Updates()) driver.Push(e.u, e.v, e.delta);
-  auto snap = PublishSnapshot(&driver, &store);
+  SessionManager manager;
+  SessionConfig cfg;
+  cfg.eager_connectivity = true;
+  SketchSession* s = OpenGraph(&manager, n, cfg);
+  if (s == nullptr) return EagerSample{};
+  for (const auto& e : stream.Updates()) s->Push(e.u, e.v, e.delta);
+  auto snap = s->Publish();
 
   EagerSample out;
   if (snap == nullptr || snap->eager == nullptr) return out;

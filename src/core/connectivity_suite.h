@@ -34,7 +34,7 @@ class ConnectivitySketch {
 
   /// Endpoint half of one token; the two halves compose to Update and
   /// distinct endpoints touch disjoint state (parallel per-node
-  /// ingestion, see src/driver/sketch_driver.h).
+  /// ingestion, see src/driver/ingest_pipeline.h).
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
 
   /// Dense same-endpoint batch (gutter flush): edge {endpoint, others[i]}

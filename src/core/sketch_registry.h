@@ -3,7 +3,7 @@
 // AGM12's central structural property is that every sketch is a LINEAR
 // measurement of the stream: sketches of partial streams merge by addition
 // into the sketch of the whole stream. That one property powers parallel
-// ingestion (src/driver/sketch_driver.h), mid-stream checkpointing
+// ingestion (src/driver/ingest_pipeline.h), mid-stream checkpointing
 // (src/driver/checkpoint.h), and distributed shard-merge (gsketch shard /
 // merge) — so instead of wiring each algorithm family into each consumer
 // by hand, every family implements ONE contract here and every consumer is
@@ -77,9 +77,9 @@ class LinearSketch {
   /// Total 1-sparse cells (space proxy).
   virtual size_t CellCount() const = 0;
 
-  /// Endpoint half of one stream token (the SketchDriver Alg concept):
-  /// UpdateEndpoint(u,u,v,d); UpdateEndpoint(v,v,u,d) composes to the full
-  /// token (u,v,d).
+  /// Endpoint half of one stream token (what the ingest pipeline's
+  /// workers apply, via AlgIngestSink): UpdateEndpoint(u,u,v,d);
+  /// UpdateEndpoint(v,v,u,d) composes to the full token (u,v,d).
   virtual void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
                               int64_t delta) = 0;
 
@@ -127,7 +127,7 @@ class LinearSketch {
   /// default — but the contract is weaker: the result is only ever read,
   /// so families whose state is COW-shared or externally versioned may
   /// return an even cheaper view. Must be called at a quiescent point
-  /// (SketchDriver::SnapshotNow provides one).
+  /// (SketchSession::Publish's drain barrier provides one).
   virtual std::unique_ptr<const LinearSketch> SnapshotView() const {
     return Clone();
   }

@@ -37,7 +37,7 @@ class SpanningForestSketch {
   /// Applies the half of one token owned by `endpoint` (u or v); the two
   /// endpoint halves compose to Update(u,v,delta). Calls for distinct
   /// endpoints touch disjoint sampler state, so workers may apply
-  /// different nodes concurrently (src/driver/sketch_driver.h).
+  /// different nodes concurrently (src/driver/ingest_pipeline.h).
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
 
   /// Applies a dense batch of half-updates all owned by `endpoint` —

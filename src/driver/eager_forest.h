@@ -19,9 +19,9 @@
 // point of the AGM sketches. (Case (b) zeroing a NON-forest edge keeps the
 // partition exact: the forest still certifies every DSU merge.)
 //
-// Threading: updated by the driver's producer thread only (same contract
-// as SketchDriver::Push). Capture() runs at a quiescent point and returns
-// an immutable EagerCut shared with query threads via shared_ptr; the
+// Threading: updated by the pipeline's producer thread only (same contract as
+// IngestPipeline::Push). Capture() runs at a quiescent point and returns an
+// immutable EagerCut shared with query threads via shared_ptr; the
 // SnapshotStore publish mutex provides the happens-before edge.
 #ifndef GRAPHSKETCH_SRC_DRIVER_EAGER_FOREST_H_
 #define GRAPHSKETCH_SRC_DRIVER_EAGER_FOREST_H_

@@ -22,8 +22,8 @@
 //
 // The GutterSystem is single-producer (the stream reader thread) and
 // synchronous: flushes invoke the sink inline, and the sink (the
-// SketchDriver) does its own cross-thread handoff. Every buffered
-// half-update is delivered exactly once; FlushAll() drains the rest.
+// IngestPipeline's shared queue) does its own cross-thread handoff. Every
+// buffered half-update is delivered exactly once; FlushAll() drains the rest.
 #ifndef GRAPHSKETCH_SRC_DRIVER_GUTTER_H_
 #define GRAPHSKETCH_SRC_DRIVER_GUTTER_H_
 

@@ -6,9 +6,10 @@
 // reusable machinery (worker pool, the shared queue, the per-node stripe
 // locks, the drain barrier) lives here, type-erased behind IngestSink,
 // and each tenant attaches a CHANNEL carrying only its private
-// producer-side state (gutters, eager forest, counters). SketchDriver<Alg>
-// is a thin single-session facade over one pipeline; SessionManager
-// (src/session/) runs N named sessions over one.
+// producer-side state (gutters, eager forest, counters). SessionManager
+// (src/session/) is the one front door: it runs N named sessions (one,
+// for the single-graph CLI commands) over one pipeline. Tests that drive
+// a concrete sketch or a fake Alg attach an AlgIngestSink directly.
 //
 // There is one ingestion path. Every stream token's two endpoint halves
 // go into the channel's per-node gutters (src/driver/gutter.h); every
@@ -74,9 +75,9 @@ struct HalfUpdate {
 };
 
 /// The type-erased per-session apply surface. One sink wraps one sketch
-/// (see AlgIngestSink in src/driver/sketch_driver.h for the generic
-/// adapter); workers call it at batch granularity, so the virtual hop is
-/// amortized over a whole gutter flush. Implementations own no pipeline
+/// (AlgIngestSink below is the generic adapter); workers call it at
+/// batch granularity, so the virtual hop is amortized over a whole
+/// gutter flush. Implementations own no pipeline
 /// state; the pipeline serializes calls per (session, endpoint) with its
 /// stripe locks, and calls for distinct endpoints may run concurrently.
 class IngestSink {
@@ -85,6 +86,23 @@ class IngestSink {
 
   /// Applies one dense per-node batch (one gutter flush).
   virtual void ApplyNode(const NodeBatch& batch) = 0;
+};
+
+/// The IngestSink over any Alg with `UpdateEndpoint(endpoint, u, v,
+/// delta)` touching only `endpoint`'s state: forwards each gutter flush
+/// through the Alg's fastest path (ApplyNodeBatch, src/driver/gutter.h).
+/// SketchSession wraps its LinearSketch in one.
+template <typename Alg>
+class AlgIngestSink : public IngestSink {
+ public:
+  explicit AlgIngestSink(Alg* alg) : alg_(alg) {}
+
+  void ApplyNode(const NodeBatch& batch) override {
+    ApplyNodeBatch(alg_, batch);
+  }
+
+ private:
+  Alg* alg_;
 };
 
 /// Tuning knobs for the shared pipeline (per-session knobs live in

@@ -15,12 +15,12 @@
 
 namespace gsketch {
 
-/// Polls `counter()` until it reaches `total` (or Stop()), printing a
-/// progress bar + rate line to `out` each interval. Counter units are
-/// whatever the caller supplies — but `total` MUST be in the same units
-/// (the SketchDriver counts endpoint half-updates, 2 per stream token; to
-/// report stream tokens, pass total in tokens and a lambda that halves the
-/// driver counter). The bar and percentage clamp at 100%, so a counter
+/// Polls `counter()` until it reaches `total` (or Stop()), printing a progress
+/// bar + rate line to `out` each interval. Counter units are whatever the
+/// caller supplies — but `total` MUST be in the same units
+/// (SketchSession::applied_halves counts endpoint half-updates, 2 per stream
+/// token; to report stream tokens, pass total in tokens and a lambda that
+/// halves that counter). The bar and percentage clamp at 100%, so a counter
 /// that overshoots `total` cannot draw an over-full bar.
 ///
 /// Resumed runs: pass `initial` = the position the counter starts from

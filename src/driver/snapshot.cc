@@ -33,22 +33,6 @@ uint64_t SnapshotStore::published() const {
   return published_;
 }
 
-std::shared_ptr<const SketchSnapshot> PublishSnapshot(
-    SketchDriver<LinearSketch>* driver, SnapshotStore* store,
-    SnapshotTiming* timing) {
-  // The eager cut reflects every token PUSHED, which is exactly the
-  // position the drain barrier lands on (producer thread, so no pushes
-  // can slip in between); capturing before the drain keeps it off the
-  // publish critical path.
-  auto eager = driver->CaptureEagerCut();
-  return driver->SnapshotNow(
-      [store, &eager](const LinearSketch& alg, uint64_t stream_pos) {
-        return store->Publish(stream_pos, alg.SnapshotView(),
-                              std::move(eager));
-      },
-      timing);
-}
-
 namespace {
 
 // Mirrors the registry adapters' ParseQueryNode accept condition exactly;

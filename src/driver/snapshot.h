@@ -11,24 +11,25 @@
 //   ingest thread                      query thread
 //   ─────────────                      ────────────
 //   Push Push Push ...                 Query("components")
-//   SnapshotNow() ──┐                    │ reads latest snapshot,
+//   Publish() ──────┐                    │ reads latest snapshot,
 //     drain barrier │ SnapshotView()     │ decodes, answers with the
 //     (gutters +    ├───► SnapshotStore ─┘ stream_pos it reflects
 //      worker       │     (latest slot)
 //      queues)      │
 //   Push Push ... ◄─┘ resumes immediately
 //
-// A snapshot is a SnapshotView of the sketch pinned to the stream position
-// the drain barrier reached. With the COW-paged arenas
-// (src/sketch/cow_arena.h) that is an O(pages) fork — microseconds to
-// low milliseconds — not a deep clone: the live sketch and the snapshot
-// share every arena page until ingestion first touches one, which then
-// pays a single ~64 KiB first-touch copy. Snapshots are immutable and
-// handed out as shared_ptr<const>, so a slow query keeps its pages alive
-// while newer snapshots supersede it, and every answer states exactly
-// which stream prefix it reflects. Linearity makes each answer
-// byte-identical to stopping ingestion at that position and querying
-// (tests/snapshot_test.cc proves it per registered family, worker count
+// Publish() is SketchSession::Publish (src/session/sketch_session.h), the one
+// drain-barrier capture in the tree. A snapshot is a SnapshotView of the sketch
+// pinned to the stream position the drain barrier reached. With the COW-paged
+// arenas (src/sketch/cow_arena.h) that is an O(pages) fork — microseconds to
+// low milliseconds — not a deep clone: the live sketch and the snapshot share
+// every arena page until ingestion first touches one, which then pays a single
+// ~64 KiB first-touch copy. Snapshots are immutable and handed out as
+// shared_ptr<const>, so a slow query keeps its pages alive while newer
+// snapshots supersede it, and every answer states exactly which stream prefix
+// it reflects. Linearity makes each answer byte-identical to stopping ingestion
+// at that position and querying (tests/snapshot_test.cc proves it per
+// registered family, worker count
 // and gutter size).
 //
 // Snapshots may also carry an EagerCut (src/driver/eager_forest.h): while
@@ -51,12 +52,20 @@
 #include "src/core/sketch_registry.h"
 #include "src/core/sync.h"
 #include "src/driver/eager_forest.h"
-#include "src/driver/sketch_driver.h"
 
 namespace gsketch {
 
+/// Where a snapshot's latency went: `drain_ms` is the barrier — flushing
+/// gutters and waiting for workers to apply every queued half-update
+/// (relocated ingestion work, not overhead); `publish_ms` is the capture
+/// itself — with COW arenas, an O(pages) fork plus the store publish.
+struct SnapshotTiming {
+  double drain_ms = 0;
+  double publish_ms = 0;
+};
+
 /// One immutable capture of sketch state: the (COW-shared) view plus the
-/// stream position (in stream tokens) it reflects, and — when the driver
+/// stream position (in stream tokens) it reflects, and — when the session
 /// maintains a still-valid eager forest — the exact connectivity
 /// partition at that position.
 struct SketchSnapshot {
@@ -93,17 +102,6 @@ class SnapshotStore {
   std::shared_ptr<const SketchSnapshot> latest_ GSKETCH_GUARDED_BY(mu_);
   uint64_t published_ GSKETCH_GUARDED_BY(mu_) = 0;
 };
-
-/// Drain-barrier capture: flushes the driver's gutters and queues, takes
-/// a COW SnapshotView of the quiesced sketch (plus the eager cut when
-/// available), publishes it pinned to the drained stream position, and
-/// returns the published snapshot (for callers that want to pin queries
-/// to exactly this capture). When `timing` is given it receives the
-/// drain-wait vs fork/publish split. Producer-side only, like
-/// SketchDriver::Push. Ingestion may resume immediately after return.
-std::shared_ptr<const SketchSnapshot> PublishSnapshot(
-    SketchDriver<LinearSketch>* driver, SnapshotStore* store,
-    SnapshotTiming* timing = nullptr);
 
 /// Answers `query` from an exact eager cut when (a) the family (`tag`)
 /// would accept exactly this query shape on its sketch path and (b) the

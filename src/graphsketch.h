@@ -52,13 +52,12 @@
 #include "src/core/weighted_sparsifier.h"
 
 // High-throughput ingestion and serving: binary stream files, the
-// batched multi-threaded driver, mid-stream checkpointing, and
+// gutter-fed worker pipeline, mid-stream checkpointing, and
 // query-while-ingest snapshots.
 #include "src/driver/binary_stream.h"
 #include "src/driver/checkpoint.h"
 #include "src/driver/ingest_pipeline.h"
 #include "src/driver/progress.h"
-#include "src/driver/sketch_driver.h"
 #include "src/driver/snapshot.h"
 
 // Multi-tenant session layer: named sketch sessions co-hosted on one

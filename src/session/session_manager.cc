@@ -19,14 +19,46 @@ SessionManager::~SessionManager() {
   sessions_.clear();
 }
 
-SketchSession* SessionManager::Create(const std::string& name,
-                                      const std::string& alg,
-                                      const SessionConfig& cfg,
-                                      std::string* error) {
+SketchSession* SessionManager::Adopt(const std::string& name,
+                                     std::unique_ptr<LinearSketch> sketch,
+                                     uint64_t stream_pos,
+                                     const SessionConfig& cfg,
+                                     std::string* error) {
   if (sessions_.count(name) != 0) {
     if (error != nullptr) *error = "session '" + name + "' already open";
     return nullptr;
   }
+  const AlgInfo* info = FindAlg(sketch->Tag());
+  if (info == nullptr) {
+    if (error != nullptr) *error = "unregistered algorithm tag";
+    return nullptr;
+  }
+  if (pipeline_.num_workers() > 1 && !sketch->EndpointSharded()) {
+    if (error != nullptr) {
+      *error = std::string(info->name) +
+               " does not support multi-worker ingestion (sharded: " +
+               ShardedAlgNameList() + ")";
+    }
+    return nullptr;
+  }
+  auto session = std::unique_ptr<SketchSession>(new SketchSession(
+      name, info, std::move(sketch), &pipeline_, cfg));
+  ChannelOptions copt;
+  copt.gutter_bytes = cfg.gutter_bytes;
+  copt.gutter_total_bytes = cfg.gutter_total_bytes;
+  copt.coalesce = session->sketch_->CoalesceSafe();
+  if (cfg.eager_connectivity && stream_pos == 0) {
+    copt.eager_nodes = session->sketch_->num_nodes();
+  }
+  copt.initial_stream_pos = stream_pos;
+  session->sid_ = pipeline_.Attach(&session->sink_, copt);
+  return (sessions_[name] = std::move(session)).get();
+}
+
+SketchSession* SessionManager::Create(const std::string& name,
+                                      const std::string& alg,
+                                      const SessionConfig& cfg,
+                                      std::string* error) {
   const AlgInfo* info = FindAlg(alg);
   if (info == nullptr) {
     if (error != nullptr) {
@@ -35,37 +67,14 @@ SketchSession* SessionManager::Create(const std::string& name,
     }
     return nullptr;
   }
-  if (pipeline_.num_workers() > 1 && !info->endpoint_sharded) {
-    if (error != nullptr) {
-      *error = std::string(info->name) +
-               " does not support multi-worker ingestion (sharded: " +
-               ShardedAlgNameList() + ")";
-    }
-    return nullptr;
-  }
-  std::unique_ptr<LinearSketch> sketch =
-      info->make(cfg.num_nodes, cfg.options, cfg.seed);
-  auto session = std::unique_ptr<SketchSession>(new SketchSession(
-      name, info, std::move(sketch), &pipeline_, cfg));
-  ChannelOptions copt;
-  copt.gutter_bytes = cfg.gutter_bytes;
-  copt.gutter_total_bytes = cfg.gutter_total_bytes;
-  copt.coalesce = session->sketch_->CoalesceSafe();
-  if (cfg.eager_connectivity) {
-    copt.eager_nodes = session->sketch_->num_nodes();
-  }
-  session->sid_ = pipeline_.Attach(&session->sink_, copt);
-  return (sessions_[name] = std::move(session)).get();
+  return Adopt(name, info->make(cfg.num_nodes, cfg.options, cfg.seed), 0,
+               cfg, error);
 }
 
 SketchSession* SessionManager::OpenCheckpoint(const std::string& name,
                                               const std::string& path,
                                               const SessionConfig& cfg,
                                               std::string* error) {
-  if (sessions_.count(name) != 0) {
-    if (error != nullptr) *error = "session '" + name + "' already open";
-    return nullptr;
-  }
   auto ckpt = ReadCheckpointFile(path, error);
   if (!ckpt.has_value()) return nullptr;
   if ((ckpt->flags & kCheckpointFlagShard) != 0) {
@@ -78,30 +87,7 @@ SketchSession* SessionManager::OpenCheckpoint(const std::string& name,
   }
   std::unique_ptr<LinearSketch> sketch = RestoreSketch(*ckpt, error);
   if (sketch == nullptr) return nullptr;
-  const AlgInfo* info = FindAlg(ckpt->alg);
-  if (info == nullptr) {
-    if (error != nullptr) *error = path + ": unregistered algorithm tag";
-    return nullptr;
-  }
-  if (pipeline_.num_workers() > 1 && !info->endpoint_sharded) {
-    if (error != nullptr) {
-      *error = std::string(info->name) +
-               " does not support multi-worker ingestion (sharded: " +
-               ShardedAlgNameList() + ")";
-    }
-    return nullptr;
-  }
-  auto session = std::unique_ptr<SketchSession>(new SketchSession(
-      name, info, std::move(sketch), &pipeline_, cfg));
-  ChannelOptions copt;
-  copt.gutter_bytes = cfg.gutter_bytes;
-  copt.gutter_total_bytes = cfg.gutter_total_bytes;
-  copt.coalesce = session->sketch_->CoalesceSafe();
-  // No eager forest: it needs the full edge history, which a checkpoint
-  // does not carry (queries fall back to sketch decoding).
-  copt.initial_stream_pos = ckpt->stream_pos;
-  session->sid_ = pipeline_.Attach(&session->sink_, copt);
-  return (sessions_[name] = std::move(session)).get();
+  return Adopt(name, std::move(sketch), ckpt->stream_pos, cfg, error);
 }
 
 SketchSession* SessionManager::Find(const std::string& name) const {

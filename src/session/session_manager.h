@@ -1,12 +1,11 @@
 // The multi-tenant session layer: N named sketch sessions co-hosted on
 // ONE shared IngestPipeline (worker pool + queue fabric).
 //
-// The pre-session stack was structurally single-tenant: SketchDriver
-// owned one Alg and its own worker threads, SnapshotStore had one latest
-// slot, and `gsketch_cli serve` scripted one graph per process. AGM
-// linear sketches make co-hosting cheap — all tenants share the same
-// cell/kernel machinery, per-tenant state is just arenas — so the
-// SessionManager keeps a name → SketchSession map over one pipeline:
+// It is the one front door to ingestion and snapshots: the single-graph
+// CLI commands and benches run a one-session manager, `serve multi` runs
+// many. AGM linear sketches make co-hosting cheap — all tenants share
+// the same cell/kernel machinery, per-tenant state is just arenas — so
+// the SessionManager keeps a name → SketchSession map over one pipeline:
 //
 //   SessionManager
 //   ├── IngestPipeline (shared: workers, queue, node stripes, drain)
@@ -56,21 +55,31 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Creates a fresh session `name` running registry family `alg`.
-  /// Returns nullptr with `*error` set when the name is taken, the family
-  /// is unknown, or the config is rejected (multi-worker ingestion of a
-  /// non-sharded family). The session pointer stays valid until Close.
+  /// Hosts `sketch` as session `name`, whose stream position starts at
+  /// `stream_pos` tokens (0 for a fresh sketch, a checkpoint's position
+  /// for a restored one; pushing the remaining suffix then reproduces an
+  /// uninterrupted run bit-identically). THE attach path: Create and
+  /// OpenCheckpoint are thin wrappers over it. `cfg`'s sketch-construction
+  /// fields are ignored (the sketch decides); channel and cadence fields
+  /// apply. The eager forest runs only when cfg.eager_connectivity is set
+  /// and stream_pos == 0 (it needs the full edge history). Returns nullptr
+  /// with `*error` set when the name is taken or the pipeline has several
+  /// workers and the sketch is not EndpointSharded(). The session pointer
+  /// stays valid until Close.
+  SketchSession* Adopt(const std::string& name,
+                       std::unique_ptr<LinearSketch> sketch,
+                       uint64_t stream_pos, const SessionConfig& cfg,
+                       std::string* error);
+
+  /// Adopts a fresh sketch of registry family `alg` built from `cfg`.
+  /// Also fails when the family is unknown.
   SketchSession* Create(const std::string& name, const std::string& alg,
                         const SessionConfig& cfg, std::string* error);
 
-  /// Creates session `name` from a GSKC checkpoint: restores the sketch
-  /// and resumes the stream position, so pushing the remaining suffix
-  /// reproduces an uninterrupted run bit-identically. `cfg`'s
-  /// sketch-construction fields are ignored (the checkpoint decides);
-  /// channel and cadence fields apply. Shard checkpoints are refused (a
-  /// session resume replays a suffix, which a non-prefix checkpoint
-  /// cannot support), as is eager_connectivity (the forest needs the full
-  /// edge history, which a checkpoint does not carry).
+  /// Adopts the sketch of a GSKC checkpoint at its stream position. Shard
+  /// checkpoints are refused (a session replays a suffix, which a
+  /// non-prefix checkpoint cannot support). `cfg.eager_connectivity` is
+  /// ignored: the checkpoint carries no edge history.
   SketchSession* OpenCheckpoint(const std::string& name,
                                 const std::string& path,
                                 const SessionConfig& cfg,

@@ -20,7 +20,6 @@
 
 #include "src/core/sketch_registry.h"
 #include "src/driver/ingest_pipeline.h"
-#include "src/driver/sketch_driver.h"
 #include "src/driver/snapshot.h"
 
 namespace gsketch {
@@ -34,7 +33,10 @@ struct SessionConfig {
   AlgOptions options;     ///< family knobs (k, epsilon, forest, ...)
   size_t gutter_bytes = 4096;     ///< per-node gutter bytes (min 1 entry)
   size_t gutter_total_bytes = 0;  ///< global gutter cap; 0 = uncapped
-  bool eager_connectivity = false;  ///< exact DSU fast path at Push time
+  /// Exact DSU fast path at Push time (src/driver/eager_forest.h). The
+  /// forest needs the full edge history, so it runs only for sessions
+  /// adopted at stream position 0.
+  bool eager_connectivity = false;
   /// Periodic snapshot cadence for this session, in seconds; <= 0 means
   /// snapshots happen only on demand (scripted `snapshot` / query pins).
   double snapshot_interval_seconds = 0;
@@ -72,11 +74,12 @@ class SketchSession {
   /// sessions keep flowing. Producer-side.
   void Drain() { pipeline_->Drain(sid_); }
 
-  /// Drain-barrier capture into this session's store: flushes gutters and
-  /// queues, forks a COW SnapshotView pinned to the drained stream
-  /// position (plus the eager cut when valid), publishes, and returns the
-  /// snapshot. The per-session equivalent of PublishSnapshot
-  /// (src/driver/snapshot.h). Producer-side.
+  /// THE drain-barrier capture (src/driver/snapshot.h): flushes this
+  /// session's gutters and queues, forks a COW SnapshotView pinned to the
+  /// drained stream position (plus the eager cut when valid), publishes
+  /// it into this session's store, and returns it. When `timing` is given
+  /// it receives the drain-wait vs fork/publish split. Producer-side;
+  /// ingestion may resume the moment it returns.
   std::shared_ptr<const SketchSnapshot> Publish(
       SnapshotTiming* timing = nullptr);
 

@@ -13,10 +13,10 @@
 
 #include "src/core/sketch_registry.h"
 #include "src/driver/checkpoint.h"
-#include "src/driver/sketch_driver.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
+#include "src/session/session_manager.h"
 
 namespace gsketch {
 namespace {
@@ -89,9 +89,9 @@ TEST(Checkpoint, EveryRegisteredAlgResumesBitIdentical) {
 }
 
 TEST(Checkpoint, ResumedIngestionMayUseTheParallelDriver) {
-  // Restoring and finishing through the sharded driver must agree with the
-  // sequential uninterrupted run (linearity, any thread count). The driver
-  // now drives the virtual LinearSketch contract directly.
+  // Reopening the checkpoint as a session and finishing through the
+  // multi-worker pipeline must agree with the sequential uninterrupted run
+  // (linearity, any thread count).
   constexpr NodeId kN = 40;
   constexpr uint64_t kSeed = 23;
   DynamicGraphStream s = TestStream(kN, 0.15, 31);
@@ -108,22 +108,18 @@ TEST(Checkpoint, ResumedIngestionMayUseTheParallelDriver) {
   std::string error;
   ASSERT_TRUE(SaveCheckpoint(path, *prefix, cut, &error)) << error;
 
-  auto ckpt = ReadCheckpointFile(path, &error);
-  ASSERT_TRUE(ckpt.has_value()) << error;
-  auto restored = RestoreSketch(*ckpt, &error);
+  SessionManager mgr(PipelineOptions{4});
+  SessionConfig cfg;
+  cfg.gutter_bytes = 64;  // force many flushes
+  SketchSession* restored = mgr.OpenCheckpoint("restored", path, cfg, &error);
   ASSERT_NE(restored, nullptr) << error;
-  {
-    DriverOptions opt;
-    opt.num_workers = 4;
-    opt.gutter_bytes = 64;  // force many flushes
-    SketchDriver<LinearSketch> driver(restored.get(), opt);
-    const auto& ups = s.Updates();
-    for (size_t i = ckpt->stream_pos; i < ups.size(); ++i) {
-      driver.Push(ups[i].u, ups[i].v, ups[i].delta);
-    }
-    driver.Drain();
+  ASSERT_EQ(restored->stream_pos(), cut);
+  const auto& ups = s.Updates();
+  for (size_t i = cut; i < ups.size(); ++i) {
+    restored->Push(ups[i].u, ups[i].v, ups[i].delta);
   }
-  EXPECT_EQ(Bytes(*restored), Bytes(*uninterrupted));
+  restored->Drain();
+  EXPECT_EQ(Bytes(restored->sketch()), Bytes(*uninterrupted));
   std::remove(path.c_str());
 }
 

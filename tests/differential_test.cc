@@ -1,11 +1,10 @@
-// Differential tier (`ctest -L differential`): every registry family is
-// driven over seeded generated workloads (src/workload/) — through the
-// same ingestion paths the CLI uses (sequential updates, the multi-worker
-// driver, gutter-buffered batching, checkpoint/resume, shard/merge, and
-// query-while-ingest snapshots) — and its decoded answers are checked
-// against exact reference algorithms: DSU connectivity, BFS 2-coloring,
-// Stoer-Wagner min cut, brute-force cut families, and the exact order-3
-// subgraph census.
+// Differential tier (`ctest -L differential`): every registry family is driven
+// over seeded generated workloads (src/workload/) — through the same ingestion
+// paths the CLI uses (sequential updates, multi-worker SessionManager sessions,
+// gutter-buffered batching, checkpoint/resume, shard/merge, and
+// query-while-ingest snapshots) — and its decoded answers are checked against
+// exact reference algorithms: DSU connectivity, BFS 2-coloring, Stoer-Wagner
+// min cut, brute-force cut families, and the exact order-3 subgraph census.
 //
 // Every assertion runs under a SCOPED_TRACE carrying a copy-pasteable
 // repro command: regenerate the exact failing stream with
@@ -27,7 +26,6 @@
 #include "src/core/subgraph_patterns.h"
 #include "src/core/weighted_sparsifier.h"
 #include "src/driver/checkpoint.h"
-#include "src/driver/sketch_driver.h"
 #include "src/driver/snapshot.h"
 #include "src/graph/bfs.h"
 #include "src/graph/cuts.h"
@@ -36,6 +34,7 @@
 #include "src/graph/stream.h"
 #include "src/graph/subgraph_census.h"
 #include "src/graph/union_find.h"
+#include "src/session/session_manager.h"
 #include "src/workload/stream_generator.h"
 
 namespace gsketch {
@@ -99,25 +98,29 @@ const char* PathName(IngestPath p) {
   return "?";
 }
 
-void Ingest(LinearSketch* sk, const DynamicGraphStream& stream,
-            IngestPath path) {
+// Ingests `stream` into `sk` along `path` and returns the ingested sketch
+// (the session's own, cloned out before its manager closes).
+std::unique_ptr<LinearSketch> Ingest(std::unique_ptr<LinearSketch> sk,
+                                     const DynamicGraphStream& stream,
+                                     IngestPath path) {
   if (path == IngestPath::kSequential) {
     stream.Replay(
-        [sk](NodeId u, NodeId v, int64_t d) { sk->Update(u, v, d); });
-    return;
+        [&sk](NodeId u, NodeId v, int64_t d) { sk->Update(u, v, d); });
+    return sk;
   }
-  DriverOptions opt;
+  PipelineOptions popt;
+  SessionConfig cfg;
   switch (path) {
     case IngestPath::kDriver3:
-      opt.num_workers = 3;
+      popt.num_workers = 3;
       break;
     case IngestPath::kGutter64:
-      opt.num_workers = 1;
-      opt.gutter_bytes = 64;
+      popt.num_workers = 1;
+      cfg.gutter_bytes = 64;
       break;
     case IngestPath::kGutter4096x2:
-      opt.num_workers = 2;
-      opt.gutter_bytes = 4096;
+      popt.num_workers = 2;
+      cfg.gutter_bytes = 4096;
       break;
     default:
       break;
@@ -125,12 +128,17 @@ void Ingest(LinearSketch* sk, const DynamicGraphStream& stream,
   // Algorithms that are not endpoint-sharded (triangles) ingest on one
   // worker, as in the CLI; gutter_bytes 0 clamps to one-entry gutters.
   if (!sk->EndpointSharded()) {
-    opt.num_workers = 1;
-    opt.gutter_bytes = 0;
+    popt.num_workers = 1;
+    cfg.gutter_bytes = 0;
   }
-  SketchDriver<LinearSketch> driver(sk, opt);
-  driver.ProcessStream(stream);
-  driver.Drain();
+  SessionManager mgr(popt);
+  std::string error;
+  SketchSession* s = mgr.Adopt("diff", std::move(sk), 0, cfg, &error);
+  EXPECT_NE(s, nullptr) << error;
+  if (s == nullptr) return nullptr;
+  for (const auto& e : stream.Updates()) s->Push(e.u, e.v, e.delta);
+  s->Drain();
+  return s->sketch().Clone();
 }
 
 // ---------------------------------------------------- exact references --
@@ -373,8 +381,8 @@ TEST(Differential, FamiliesMatchExactReferencesAcrossWorkloads) {
                    "]");
       AlgOptions aopt;
       DynamicGraphStream fs = StreamForFamily(info, stream);
-      auto sk = info.make(sc.n, aopt, kSketchSeed);
-      Ingest(sk.get(), fs, path);
+      auto sk = Ingest(info.make(sc.n, aopt, kSketchSeed), fs, path);
+      ASSERT_NE(sk, nullptr);
       ExpectMatchesExact(info, *sk, MakeRefs(fs), aopt);
     }
   }
@@ -433,8 +441,8 @@ TEST(Differential, CheckpointResumeMatchesUninterruptedAndExact) {
       resumed->Update(updates[i].u, updates[i].v, updates[i].delta);
     }
 
-    auto whole = info.make(sc.n, aopt, kSketchSeed);
-    Ingest(whole.get(), fs, IngestPath::kSequential);
+    auto whole = Ingest(info.make(sc.n, aopt, kSketchSeed), fs,
+                        IngestPath::kSequential);
     std::string resumed_bytes, whole_bytes;
     resumed->AppendTo(&resumed_bytes);
     whole->AppendTo(&whole_bytes);
@@ -471,8 +479,8 @@ TEST(Differential, ShardMergeMatchesSingleStreamAndExact) {
         ASSERT_TRUE(merged->Merge(*site, &error)) << error;
       }
     }
-    auto whole = info.make(sc.n, aopt, kSketchSeed);
-    Ingest(whole.get(), fs, IngestPath::kSequential);
+    auto whole = Ingest(info.make(sc.n, aopt, kSketchSeed), fs,
+                        IngestPath::kSequential);
     std::string merged_bytes, whole_bytes;
     merged->AppendTo(&merged_bytes);
     whole->AppendTo(&whole_bytes);
@@ -482,7 +490,7 @@ TEST(Differential, ShardMergeMatchesSingleStreamAndExact) {
   }
 }
 
-// Snapshot differential: a mid-stream snapshot taken while the driver
+// Snapshot differential: a mid-stream snapshot taken while the session
 // keeps ingesting must answer exactly like the stream stopped at that
 // position — checked against the exact reference of the PREFIX graph —
 // and the final sketch must still match the full-stream reference.
@@ -500,25 +508,28 @@ TEST(Differential, MidStreamSnapshotMatchesExactPrefix) {
       const auto& e = fs.Updates()[i];
       prefix.Push(e.u, e.v, e.delta);
     }
-    auto sk = info.make(sc.n, aopt, kSketchSeed);
-    DriverOptions opt;
-    opt.num_workers = info.endpoint_sharded ? 2 : 1;
-    if (info.endpoint_sharded) opt.gutter_bytes = 256;
-    SnapshotStore store;
+    PipelineOptions popt;
+    popt.num_workers = info.endpoint_sharded ? 2 : 1;
+    SessionConfig cfg;
+    cfg.num_nodes = sc.n;
+    cfg.seed = kSketchSeed;
+    cfg.options = aopt;
+    if (info.endpoint_sharded) cfg.gutter_bytes = 256;
+    SessionManager mgr(popt);
+    std::string error;
+    SketchSession* session = mgr.Create("diff", info.name, cfg, &error);
+    ASSERT_NE(session, nullptr) << error;
     std::shared_ptr<const SketchSnapshot> snap;
-    {
-      SketchDriver<LinearSketch> driver(sk.get(), opt);
-      for (size_t i = 0; i < fs.Size(); ++i) {
-        const auto& e = fs.Updates()[i];
-        driver.Push(e.u, e.v, e.delta);
-        if (i + 1 == cut) snap = PublishSnapshot(&driver, &store);
-      }
-      driver.Drain();
+    for (size_t i = 0; i < fs.Size(); ++i) {
+      const auto& e = fs.Updates()[i];
+      session->Push(e.u, e.v, e.delta);
+      if (i + 1 == cut) snap = session->Publish();
     }
+    session->Drain();
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->stream_pos, cut);
     ExpectMatchesExact(info, *snap->sketch, MakeRefs(prefix), aopt);
-    ExpectMatchesExact(info, *sk, MakeRefs(fs), aopt);
+    ExpectMatchesExact(info, session->sketch(), MakeRefs(fs), aopt);
   }
 }
 

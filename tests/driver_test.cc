@@ -1,8 +1,9 @@
 // Tests for the ingestion subsystem (src/driver/): GSKB binary stream
-// round-tripping and exact sequential-vs-parallel parity of the batched
-// sketch driver. Parity is exact — not approximate — because the sketches
-// are linear: any partition of the update stream across workers sums to
-// the same sketch state.
+// round-tripping and exact sequential-vs-parallel parity of the ingest
+// pipeline, driven here on concrete sketches through an AlgIngestSink attached
+// to an IngestPipeline directly. Parity is exact — not approximate — because
+// the sketches are linear: any partition of the update stream across workers
+// sums to the same sketch state.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,8 +19,8 @@
 #include "src/core/simple_sparsifier.h"
 #include "src/core/spanning_forest.h"
 #include "src/driver/binary_stream.h"
+#include "src/driver/ingest_pipeline.h"
 #include "src/driver/progress.h"
-#include "src/driver/sketch_driver.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
@@ -273,8 +274,8 @@ TEST(BinaryStream, RejectsOutOfRangeEndpoint) {
   std::remove(path.c_str());
 }
 
-TEST(SketchDriver, EndpointHalvesComposeToFullUpdate) {
-  // The sharded driver relies on UpdateEndpoint(u) + UpdateEndpoint(v)
+TEST(PipelineIngest, EndpointHalvesComposeToFullUpdate) {
+  // The sharded pipeline relies on UpdateEndpoint(u) + UpdateEndpoint(v)
   // producing the exact same sketch state as Update(u, v). Serialization
   // makes the comparison bit-exact.
   SpanningForestSketch whole(32, ForestOptions{}, 99);
@@ -300,7 +301,7 @@ std::vector<std::tuple<NodeId, NodeId, double>> SortedEdges(const Graph& g) {
   return edges;
 }
 
-TEST(SketchDriver, ConnectivityParityAcrossThreadCounts) {
+TEST(PipelineIngest, ConnectivityParityAcrossThreadCounts) {
   constexpr NodeId kN = 60;
   constexpr uint64_t kSeed = 17;
   DynamicGraphStream s = TestStream(kN, 0.1, 13);
@@ -310,13 +311,13 @@ TEST(SketchDriver, ConnectivityParityAcrossThreadCounts) {
 
   for (uint32_t threads : {1u, 4u}) {
     ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
-    DriverOptions opt;
-    opt.num_workers = threads;
-    opt.gutter_bytes = 64;  // force many flushes
-    SketchDriver<ConnectivitySketch> driver(&parallel, opt);
-    driver.ProcessStream(s);
-    EXPECT_EQ(driver.StreamUpdates(), s.Size());
-    EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+    AlgIngestSink<ConnectivitySketch> sink(&parallel);
+    IngestPipeline pipeline(PipelineOptions{threads});
+    auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // many flushes
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+    pipeline.Drain(sid);
+    EXPECT_EQ(pipeline.StreamUpdates(sid), s.Size());
+    EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());
 
     // Identical sketch state decodes to the identical forest, so the
     // answers match exactly, not just approximately.
@@ -327,7 +328,7 @@ TEST(SketchDriver, ConnectivityParityAcrossThreadCounts) {
   }
 }
 
-TEST(SketchDriver, BipartitenessParityAcrossThreadCounts) {
+TEST(PipelineIngest, BipartitenessParityAcrossThreadCounts) {
   constexpr uint64_t kSeed = 23;
   // One bipartite graph, one graph with an odd cycle.
   Graph bip = CompleteBipartite(6, 7);
@@ -345,18 +346,18 @@ TEST(SketchDriver, BipartitenessParityAcrossThreadCounts) {
 
     for (uint32_t threads : {1u, 4u}) {
       BipartitenessSketch parallel(n, ForestOptions{}, kSeed);
-      DriverOptions opt;
-      opt.num_workers = threads;
-      opt.gutter_bytes = 64;  // force many flushes
-      SketchDriver<BipartitenessSketch> driver(&parallel, opt);
-      driver.ProcessStream(s);
+      AlgIngestSink<BipartitenessSketch> sink(&parallel);
+      IngestPipeline pipeline(PipelineOptions{threads});
+      auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // many flushes
+      for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+      pipeline.Drain(sid);
       EXPECT_EQ(parallel.IsBipartite(), sequential.IsBipartite())
           << threads << " threads";
     }
   }
 }
 
-TEST(SketchDriver, SparsifierParityAcrossThreadCounts) {
+TEST(PipelineIngest, SparsifierParityAcrossThreadCounts) {
   constexpr NodeId kN = 40;
   constexpr uint64_t kSeed = 31;
   DynamicGraphStream s = TestStream(kN, 0.2, 19);
@@ -369,18 +370,18 @@ TEST(SketchDriver, SparsifierParityAcrossThreadCounts) {
 
   for (uint32_t threads : {1u, 4u}) {
     SimpleSparsifier parallel(kN, sopt, kSeed);
-    DriverOptions opt;
-    opt.num_workers = threads;
-    opt.gutter_bytes = 64;  // force many flushes
-    SketchDriver<SimpleSparsifier> driver(&parallel, opt);
-    driver.ProcessStream(s);
+    AlgIngestSink<SimpleSparsifier> sink(&parallel);
+    IngestPipeline pipeline(PipelineOptions{threads});
+    auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // many flushes
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+    pipeline.Drain(sid);
     EXPECT_EQ(SortedEdges(parallel.Extract()), expected)
         << threads << " threads";
   }
 }
 
-TEST(SketchDriver, DestructionWithoutDrainAppliesEverything) {
-  // Callers may Push and then simply destroy the driver: the destructor
+TEST(PipelineIngest, DestructionWithoutDrainAppliesEverything) {
+  // Callers may Push and then simply destroy the pipeline: the destructor
   // drains, so no queued update is lost and the sketch is complete.
   constexpr NodeId kN = 32;
   constexpr uint64_t kSeed = 47;
@@ -390,12 +391,11 @@ TEST(SketchDriver, DestructionWithoutDrainAppliesEverything) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch abandoned(kN, ForestOptions{}, kSeed);
+  AlgIngestSink<ConnectivitySketch> sink(&abandoned);
   {
-    DriverOptions opt;
-    opt.num_workers = 3;
-    opt.gutter_bytes = 64;  // force many flushes
-    SketchDriver<ConnectivitySketch> driver(&abandoned, opt);
-    for (const auto& e : s.Updates()) driver.Push(e.u, e.v, e.delta);
+    IngestPipeline pipeline(PipelineOptions{3});
+    auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // many flushes
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
     // No Drain(): destruction must flush the gutters and wait.
   }
   std::string a, b;
@@ -404,20 +404,19 @@ TEST(SketchDriver, DestructionWithoutDrainAppliesEverything) {
   EXPECT_EQ(a, b);
 }
 
-TEST(SketchDriver, ZeroUpdateStreamIsWellDefined) {
+TEST(PipelineIngest, ZeroUpdateStreamIsWellDefined) {
   constexpr NodeId kN = 8;
   ConnectivitySketch sk(kN, ForestOptions{}, 3);
   std::string before;
   sk.AppendTo(&before);
+  AlgIngestSink<ConnectivitySketch> sink(&sk);
   {
-    DriverOptions opt;
-    opt.num_workers = 2;
-    SketchDriver<ConnectivitySketch> driver(&sk, opt);
-    driver.Drain();  // drain with nothing enqueued
-    DynamicGraphStream empty(kN);
-    driver.ProcessStream(empty);  // and an explicitly empty stream
-    EXPECT_EQ(driver.StreamUpdates(), 0u);
-    EXPECT_EQ(driver.TotalUpdates(), 0u);
+    IngestPipeline pipeline(PipelineOptions{2});
+    auto sid = pipeline.Attach(&sink);
+    pipeline.Drain(sid);  // drain with nothing enqueued
+    pipeline.DrainAll();  // and every (empty) channel at once
+    EXPECT_EQ(pipeline.StreamUpdates(sid), 0u);
+    EXPECT_EQ(pipeline.AppliedHalves(sid), 0u);
   }
   std::string after;
   sk.AppendTo(&after);
@@ -425,7 +424,7 @@ TEST(SketchDriver, ZeroUpdateStreamIsWellDefined) {
   EXPECT_EQ(sk.NumComponents(), kN);  // n isolated nodes
 }
 
-TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
+TEST(PipelineIngest, BackpressureWithSingleSlotQueuesKeepsParity) {
   // max_pending_batches=1 forces the producer to block on most flushes
   // until a worker catches up — the tightest legal flow-control setting.
   // Parity must survive the constant producer/worker handoff.
@@ -437,14 +436,16 @@ TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch throttled(kN, ForestOptions{}, kSeed);
+  AlgIngestSink<ConnectivitySketch> sink(&throttled);
   {
-    DriverOptions opt;
-    opt.num_workers = 4;
-    opt.gutter_bytes = 64;        // many small batches
-    opt.max_pending_batches = 1;  // one slot per worker: maximal contention
-    SketchDriver<ConnectivitySketch> driver(&throttled, opt);
-    driver.ProcessStream(s);
-    EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+    PipelineOptions popt;
+    popt.num_workers = 4;
+    popt.max_pending_batches = 1;  // one slot per worker: max contention
+    IngestPipeline pipeline(popt);
+    auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // small batches
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+    pipeline.Drain(sid);
+    EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -452,7 +453,7 @@ TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
   EXPECT_EQ(a, b);
 }
 
-TEST(SketchDriver, ProcessFileMatchesInMemoryIngestion) {
+TEST(PipelineIngest, ProcessFileMatchesInMemoryIngestion) {
   constexpr NodeId kN = 50;
   constexpr uint64_t kSeed = 41;
   DynamicGraphStream s = TestStream(kN, 0.15, 29);
@@ -463,13 +464,19 @@ TEST(SketchDriver, ProcessFileMatchesInMemoryIngestion) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 4;
-  opt.gutter_bytes = 64;  // force many flushes
-  SketchDriver<ConnectivitySketch> driver(&parallel, opt);
+  AlgIngestSink<ConnectivitySketch> sink(&parallel);
+  IngestPipeline pipeline(PipelineOptions{4});
+  auto sid = pipeline.Attach(&sink, ChannelOptions{64});  // many flushes
   BinaryStreamReader reader(path);
   ASSERT_TRUE(reader.ok()) << reader.error();
-  ASSERT_TRUE(driver.ProcessFile(&reader));
+  std::vector<EdgeUpdate> batch;
+  while (!reader.Done() && reader.ReadBatch(4096, &batch) > 0) {
+    for (const auto& e : batch) pipeline.Push(sid, e.u, e.v, e.delta);
+    batch.clear();
+  }
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  pipeline.Drain(sid);
+  EXPECT_EQ(pipeline.StreamUpdates(sid), s.Size());
 
   EXPECT_EQ(parallel.NumComponents(), sequential.NumComponents());
   EXPECT_EQ(SortedEdges(parallel.Forest()), SortedEdges(sequential.Forest()));

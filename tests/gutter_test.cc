@@ -1,5 +1,7 @@
 // Tests for gutter-buffered ingestion (src/driver/gutter.h) and the
-// driver bugfixes that rode along with it.
+// ingest-path bugfixes that rode along with it. Registry families ingest
+// through a SessionManager session; concrete sketches and the fake
+// min-endpoint Alg attach an AlgIngestSink to an IngestPipeline directly.
 //
 // The load-bearing property is BYTE parity: gutters reorder and coalesce
 // updates and flush them through the ApplyBatch fast path, and because
@@ -24,10 +26,11 @@
 #include "src/driver/binary_stream.h"
 #include "src/driver/checkpoint.h"
 #include "src/driver/gutter.h"
-#include "src/driver/sketch_driver.h"
+#include "src/driver/ingest_pipeline.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
+#include "src/session/session_manager.h"
 
 namespace gsketch {
 namespace {
@@ -51,6 +54,23 @@ std::string Bytes(const LinearSketch& sk) {
   std::string out;
   sk.AppendTo(&out);
   return out;
+}
+
+// A fresh registry-family session over the stream-test graph shape.
+SketchSession* OpenSession(SessionManager* mgr, const AlgInfo& info,
+                           size_t gutter_bytes) {
+  SessionConfig cfg;
+  cfg.num_nodes = kN;
+  cfg.seed = kSeed;
+  cfg.gutter_bytes = gutter_bytes;
+  std::string error;
+  SketchSession* s = mgr->Create(info.name, info.name, cfg, &error);
+  EXPECT_NE(s, nullptr) << error;
+  return s;
+}
+
+void PushAll(SketchSession* session, const DynamicGraphStream& s) {
+  for (const auto& e : s.Updates()) session->Push(e.u, e.v, e.delta);
 }
 
 // ------------------------------------------------- GutterSystem unit --
@@ -160,14 +180,13 @@ TEST(GutterParity, EveryRegisteredFamilyAtSeveralGutterSizes) {
     for (size_t gutter_bytes : {size_t{64}, size_t{4096}}) {
       for (uint32_t threads : {1u, 3u}) {
         if (threads > 1 && !info.endpoint_sharded) continue;
-        auto guttered = info.make(kN, AlgOptions{}, kSeed);
-        DriverOptions opt;
-        opt.num_workers = threads;
-        opt.gutter_bytes = gutter_bytes;
-        SketchDriver<LinearSketch> driver(guttered.get(), opt);
-        driver.ProcessStream(s);
-        EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
-        EXPECT_EQ(Bytes(*guttered), expected)
+        SessionManager mgr(PipelineOptions{threads});
+        SketchSession* session = OpenSession(&mgr, info, gutter_bytes);
+        ASSERT_NE(session, nullptr);
+        PushAll(session, s);
+        session->Drain();
+        EXPECT_EQ(session->applied_halves(), 2 * s.Size());
+        EXPECT_EQ(Bytes(session->sketch()), expected)
             << "gutter=" << gutter_bytes << "B, threads=" << threads;
       }
     }
@@ -186,7 +205,7 @@ TEST(GutterParity, EveryRegisteredFamilyAtSeveralGutterSizes) {
 // apply nothing — each token lands exactly once, never once per half.
 //
 // Mimics the gutter-flush shape of SubgraphSketch exactly: min-endpoint
-// semantics, no ApplyBatch override (the driver falls back to the
+// semantics, no ApplyBatch override (the sink falls back to the
 // per-update UpdateEndpoint loop, like LinearSketch's default).
 struct MinEndpointRecorder {
   std::map<std::pair<NodeId, NodeId>, int64_t> applied;
@@ -221,14 +240,15 @@ TEST(GutterMinEndpoint, EachEdgeAppliedExactlyOnceUnderCoalescing) {
 
   for (size_t gutter_bytes : {size_t{64}, size_t{4096}}) {
     MinEndpointRecorder rec;
-    DriverOptions opt;
-    opt.num_workers = 1;  // min-endpoint algs are not endpoint-sharded
-    opt.gutter_bytes = gutter_bytes;
+    AlgIngestSink<MinEndpointRecorder> sink(&rec);
     {
-      SketchDriver<MinEndpointRecorder> driver(&rec, opt);
-      driver.ProcessStream(s);
-      ASSERT_NE(driver.gutters(), nullptr);
-      EXPECT_GT(driver.gutters()->coalesced_halves(), 0u);
+      // One worker: min-endpoint algs are not endpoint-sharded.
+      IngestPipeline pipeline(PipelineOptions{1});
+      auto sid = pipeline.Attach(&sink, ChannelOptions{gutter_bytes});
+      for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+      pipeline.Drain(sid);
+      ASSERT_NE(pipeline.gutters(sid), nullptr);
+      EXPECT_GT(pipeline.gutters(sid)->coalesced_halves(), 0u);
     }
     EXPECT_EQ(rec.applied, expected) << "gutter=" << gutter_bytes;
     // Every non-min half was a no-op; with coalescing there are at most
@@ -263,18 +283,15 @@ TEST(GutterMinEndpoint, TrianglesParityUnderCoalescingHeavyStream) {
   const std::string expected = Bytes(*sequential);
 
   for (size_t gutter_bytes : {size_t{64}, size_t{4096}}) {
-    auto guttered = info->make(kN, AlgOptions{}, kSeed);
-    DriverOptions opt;
-    opt.num_workers = 1;
-    opt.gutter_bytes = gutter_bytes;
-    {
-      SketchDriver<LinearSketch> driver(guttered.get(), opt);
-      driver.ProcessStream(s);
-      ASSERT_NE(driver.gutters(), nullptr);
-      EXPECT_GT(driver.gutters()->coalesced_halves(), 0u);
-      EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
-    }
-    EXPECT_EQ(Bytes(*guttered), expected) << "gutter=" << gutter_bytes;
+    SessionManager mgr;  // one worker
+    SketchSession* session = OpenSession(&mgr, *info, gutter_bytes);
+    ASSERT_NE(session, nullptr);
+    PushAll(session, s);
+    session->Drain();
+    ASSERT_NE(session->gutters(), nullptr);
+    EXPECT_GT(session->gutters()->coalesced_halves(), 0u);
+    EXPECT_EQ(session->applied_halves(), 2 * s.Size());
+    EXPECT_EQ(Bytes(session->sketch()), expected) << "gutter=" << gutter_bytes;
   }
 }
 
@@ -309,18 +326,16 @@ TEST(GutterParity, InsertDeleteCancellationInsideOneGutter) {
 
     for (uint32_t threads : {1u, 2u}) {
       if (threads > 1 && !info.endpoint_sharded) continue;
-      auto guttered = info.make(kN, AlgOptions{}, kSeed);
-      DriverOptions opt;
-      opt.num_workers = threads;
-      opt.gutter_bytes = 1 << 20;  // whole stream fits: drain-only flush
-      {
-        SketchDriver<LinearSketch> driver(guttered.get(), opt);
-        driver.ProcessStream(s);
-        ASSERT_NE(driver.gutters(), nullptr);
-        // The cancelled pairs really did coalesce before flushing.
-        EXPECT_GE(driver.gutters()->coalesced_halves(), 2u * (kN - 1));
-      }
-      EXPECT_EQ(Bytes(*guttered), expected) << "threads=" << threads;
+      SessionManager mgr(PipelineOptions{threads});
+      // Whole stream fits in the gutters: drain-only flush.
+      SketchSession* session = OpenSession(&mgr, info, 1 << 20);
+      ASSERT_NE(session, nullptr);
+      PushAll(session, s);
+      session->Drain();
+      ASSERT_NE(session->gutters(), nullptr);
+      // The cancelled pairs really did coalesce before flushing.
+      EXPECT_GE(session->gutters()->coalesced_halves(), 2u * (kN - 1));
+      EXPECT_EQ(Bytes(session->sketch()), expected) << "threads=" << threads;
     }
   }
 }
@@ -331,15 +346,17 @@ TEST(GutterParity, GlobalCapSweepKeepsParity) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch capped(kN, ForestOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 1024;
-  opt.gutter_total_bytes = 4 * kGutterEntryBytes;  // constant eviction
+  AlgIngestSink<ConnectivitySketch> sink(&capped);
+  ChannelOptions copt;
+  copt.gutter_bytes = 1024;
+  copt.gutter_total_bytes = 4 * kGutterEntryBytes;  // constant eviction
   {
-    SketchDriver<ConnectivitySketch> driver(&capped, opt);
-    driver.ProcessStream(s);
-    ASSERT_NE(driver.gutters(), nullptr);
-    EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+    IngestPipeline pipeline(PipelineOptions{2});
+    auto sid = pipeline.Attach(&sink, copt);
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+    pipeline.Drain(sid);
+    ASSERT_NE(pipeline.gutters(sid), nullptr);
+    EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -347,7 +364,7 @@ TEST(GutterParity, GlobalCapSweepKeepsParity) {
   EXPECT_EQ(a, b);
 }
 
-// ------------------------------------------------- driver lifecycle --
+// ----------------------------------------------- pipeline lifecycle --
 
 TEST(GutterDriver, FlushOnDrainDeliversBufferedUpdates) {
   // A gutter far larger than the stream: nothing flushes during Push, so
@@ -357,19 +374,18 @@ TEST(GutterDriver, FlushOnDrainDeliversBufferedUpdates) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch buffered(kN, ForestOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 1 << 20;
-  SketchDriver<ConnectivitySketch> driver(&buffered, opt);
-  for (const auto& e : s.Updates()) driver.Push(e.u, e.v, e.delta);
+  AlgIngestSink<ConnectivitySketch> sink(&buffered);
+  IngestPipeline pipeline(PipelineOptions{2});
+  auto sid = pipeline.Attach(&sink, ChannelOptions{1 << 20});
+  for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
   // Everything is still sitting in gutters: nothing was dispatched.
-  EXPECT_EQ(driver.TotalUpdates(), 0u);
-  ASSERT_NE(driver.gutters(), nullptr);
-  EXPECT_EQ(driver.gutters()->buffered_halves(), 2 * s.Size());
+  EXPECT_EQ(pipeline.AppliedHalves(sid), 0u);
+  ASSERT_NE(pipeline.gutters(sid), nullptr);
+  EXPECT_EQ(pipeline.gutters(sid)->buffered_halves(), 2 * s.Size());
 
-  driver.Drain();
-  EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
-  EXPECT_EQ(driver.gutters()->buffered_halves(), 0u);
+  pipeline.Drain(sid);
+  EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());
+  EXPECT_EQ(pipeline.gutters(sid)->buffered_halves(), 0u);
   std::string a, b;
   sequential.AppendTo(&a);
   buffered.AppendTo(&b);
@@ -382,12 +398,12 @@ TEST(GutterDriver, DestructionWithoutDrainFlushesGutters) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch abandoned(kN, ForestOptions{}, kSeed);
+  AlgIngestSink<ConnectivitySketch> sink(&abandoned);
   {
-    DriverOptions opt;
-    opt.num_workers = 3;
-    opt.gutter_bytes = 1 << 20;  // nothing flushes before destruction
-    SketchDriver<ConnectivitySketch> driver(&abandoned, opt);
-    for (const auto& e : s.Updates()) driver.Push(e.u, e.v, e.delta);
+    IngestPipeline pipeline(PipelineOptions{3});
+    // Nothing flushes before destruction.
+    auto sid = pipeline.Attach(&sink, ChannelOptions{1 << 20});
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -414,15 +430,15 @@ TEST(GutterDriver, HotSpotSingleNodeStreamCoalesces) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   ConnectivitySketch hot(kN, ForestOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 64 * kGutterEntryBytes;
+  AlgIngestSink<ConnectivitySketch> sink(&hot);
   {
-    SketchDriver<ConnectivitySketch> driver(&hot, opt);
-    driver.ProcessStream(s);
-    EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());  // raw halves, exact
-    ASSERT_NE(driver.gutters(), nullptr);
-    EXPECT_GT(driver.gutters()->coalesced_halves(), kRepeats);
+    IngestPipeline pipeline(PipelineOptions{2});
+    auto sid = pipeline.Attach(&sink, ChannelOptions{64 * kGutterEntryBytes});
+    for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+    pipeline.Drain(sid);
+    EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());  // raw halves
+    ASSERT_NE(pipeline.gutters(sid), nullptr);
+    EXPECT_GT(pipeline.gutters(sid)->coalesced_halves(), kRepeats);
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -443,32 +459,29 @@ TEST(GutterDriver, CheckpointResumeEquivalence) {
     uninterrupted->Update(u, v, d);
   });
 
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 128;
+  SessionManager mgr(PipelineOptions{2});
+  std::string error;
   {
-    auto prefix = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
-    SketchDriver<LinearSketch> driver(prefix.get(), opt);
+    SketchSession* prefix =
+        OpenSession(&mgr, *FindAlg("connectivity"), /*gutter_bytes=*/128);
+    ASSERT_NE(prefix, nullptr);
     for (uint64_t i = 0; i < cut; ++i) {
-      driver.Push(s.Updates()[i].u, s.Updates()[i].v, s.Updates()[i].delta);
+      prefix->Push(s.Updates()[i].u, s.Updates()[i].v, s.Updates()[i].delta);
     }
-    driver.Drain();
-    std::string error;
-    ASSERT_TRUE(SaveCheckpoint(ckpt_path, *prefix, cut, &error)) << error;
+    ASSERT_TRUE(mgr.Checkpoint(prefix->name(), ckpt_path, &error)) << error;
   }
 
-  std::string error;
-  auto ckpt = ReadCheckpointFile(ckpt_path, &error);
-  ASSERT_TRUE(ckpt.has_value()) << error;
-  auto resumed = RestoreSketch(*ckpt, &error);
+  SessionConfig cfg;
+  cfg.gutter_bytes = 128;
+  SketchSession* resumed =
+      mgr.OpenCheckpoint("resumed", ckpt_path, cfg, &error);
   ASSERT_NE(resumed, nullptr) << error;
-  {
-    SketchDriver<LinearSketch> driver(resumed.get(), opt);
-    for (uint64_t i = cut; i < s.Size(); ++i) {
-      driver.Push(s.Updates()[i].u, s.Updates()[i].v, s.Updates()[i].delta);
-    }
+  EXPECT_EQ(resumed->stream_pos(), cut);
+  for (uint64_t i = cut; i < s.Size(); ++i) {
+    resumed->Push(s.Updates()[i].u, s.Updates()[i].v, s.Updates()[i].delta);
   }
-  EXPECT_EQ(Bytes(*resumed), Bytes(*uninterrupted));
+  resumed->Drain();
+  EXPECT_EQ(Bytes(resumed->sketch()), Bytes(*uninterrupted));
   std::remove(ckpt_path.c_str());
 }
 
@@ -485,24 +498,22 @@ TEST(DriverDeltaWidth, AccumulatedDeltasBeyondInt32Survive) {
   sequential.Update(1, 2, kBig);      // single push beyond int32 range
   sequential.Update(2, 3, 5 * kBig);  // aggregate 5 * 2^30 > 2^32
 
-  SpanningForestSketch driven(n, ForestOptions{}, kSeed);
   for (uint32_t gutter : {0u, 64u}) {
     SpanningForestSketch fresh(n, ForestOptions{}, kSeed);
-    DriverOptions opt;
-    opt.num_workers = 2;
-    opt.gutter_bytes = gutter;
-    SketchDriver<SpanningForestSketch> driver(&fresh, opt);
-    for (int i = 0; i < 6; ++i) driver.Push(0, 1, kBig);
-    driver.Push(1, 2, kBig);
-    driver.Push(2, 3, 5 * kBig);
-    driver.Drain();
+    AlgIngestSink<SpanningForestSketch> sink(&fresh);
+    IngestPipeline pipeline(PipelineOptions{2});
+    auto sid = pipeline.Attach(&sink, ChannelOptions{gutter});
+    for (int i = 0; i < 6; ++i) pipeline.Push(sid, 0, 1, kBig);
+    pipeline.Push(sid, 1, 2, kBig);
+    pipeline.Push(sid, 2, 3, 5 * kBig);
+    pipeline.Drain(sid);
     std::string a, b;
     sequential.AppendTo(&a);
     fresh.AppendTo(&b);
     EXPECT_EQ(a, b) << "gutter=" << gutter;
 
     // The decoded forest carries the exact aggregate as edge weight —
-    // 6 * 2^30 > 2^31 proves no int32 truncation anywhere in the driver.
+    // 6 * 2^30 > 2^31 proves no int32 truncation anywhere in the pipeline.
     Graph forest = fresh.ExtractForest();
     double max_weight = 0;
     for (const auto& e : forest.Edges()) {
@@ -515,17 +526,29 @@ TEST(DriverDeltaWidth, AccumulatedDeltasBeyondInt32Survive) {
 
 // --------------------------------------- ProcessFile error surfacing --
 
+// Reads `reader` to the end the way every GSKB ingest loop does (the CLI,
+// bench_ingest_driver); false with `*error` set to the reader's
+// diagnostic when the stream is malformed or ends early.
+bool ReadToEnd(BinaryStreamReader* reader, std::string* error) {
+  std::vector<EdgeUpdate> batch;
+  while (!reader->Done() && reader->ok()) {
+    batch.clear();
+    if (reader->ReadBatch(4096, &batch) == 0) break;
+  }
+  if (reader->ok() && reader->Done()) return true;
+  *error = reader->error();
+  return false;
+}
+
 TEST(ProcessFileErrors, TruncatedFileReportsReaderDiagnostic) {
   DynamicGraphStream s = TestStream(23);
   std::string path = TempPath("gutter_truncated.gskb");
   ASSERT_TRUE(WriteBinaryStream(path, s));
   ASSERT_EQ(truncate(path.c_str(), 20 + 12 * (s.Size() / 2) + 5), 0);
 
-  ConnectivitySketch sk(kN, ForestOptions{}, kSeed);
-  SketchDriver<ConnectivitySketch> driver(&sk);
   BinaryStreamReader reader(path);
   std::string error;
-  EXPECT_FALSE(driver.ProcessFile(&reader, &error));
+  EXPECT_FALSE(ReadToEnd(&reader, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("bytes"), std::string::npos) << error;
   std::remove(path.c_str());
@@ -533,8 +556,8 @@ TEST(ProcessFileErrors, TruncatedFileReportsReaderDiagnostic) {
 
 TEST(ProcessFileErrors, CorruptRecordMidStreamReportsPosition) {
   // Size-consistent file whose 4th record has u == v: the header passes,
-  // so the failure surfaces mid-ProcessFile — exactly the case that used
-  // to come back as a bare `false`.
+  // so the failure surfaces mid-read — exactly the case that used to come
+  // back as a bare `false`.
   DynamicGraphStream s = TestStream(29);
   ASSERT_GT(s.Size(), 8u);
   std::string path = TempPath("gutter_badrecord.gskb");
@@ -550,12 +573,10 @@ TEST(ProcessFileErrors, CorruptRecordMidStreamReportsPosition) {
     std::fclose(f);
   }
 
-  ConnectivitySketch sk(kN, ForestOptions{}, kSeed);
-  SketchDriver<ConnectivitySketch> driver(&sk);
   BinaryStreamReader reader(path);
   ASSERT_TRUE(reader.ok()) << reader.error();
   std::string error;
-  EXPECT_FALSE(driver.ProcessFile(&reader, &error));
+  EXPECT_FALSE(ReadToEnd(&reader, &error));
   EXPECT_NE(error.find("bad record at update 3"), std::string::npos)
       << error;
   std::remove(path.c_str());

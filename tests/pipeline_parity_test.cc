@@ -17,10 +17,11 @@
 #include <vector>
 
 #include "src/core/sketch_registry.h"
-#include "src/driver/sketch_driver.h"
+#include "src/driver/ingest_pipeline.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
+#include "src/session/session_manager.h"
 
 namespace gsketch {
 namespace {
@@ -42,6 +43,19 @@ std::string Bytes(const LinearSketch& sk) {
   return out;
 }
 
+// A fresh session of registry family `alg` on `*mgr`.
+SketchSession* OpenSession(SessionManager* mgr, const char* alg, NodeId n,
+                           size_t gutter_bytes = 4096) {
+  SessionConfig cfg;
+  cfg.num_nodes = n;
+  cfg.seed = kSeed;
+  cfg.gutter_bytes = gutter_bytes;
+  std::string error;
+  SketchSession* s = mgr->Create(alg, alg, cfg, &error);
+  EXPECT_NE(s, nullptr) << error;
+  return s;
+}
+
 // --------------------------------------------------- parity per family --
 
 // Pipeline ingestion must be byte-identical to plain sequential ingestion
@@ -61,14 +75,13 @@ TEST(PipelineParity, EveryRegisteredFamilyThreadsAndGutters) {
     for (size_t gutter_bytes : {size_t{0}, size_t{4096}}) {
       for (uint32_t threads : {1u, 3u}) {
         if (threads > 1 && !info.endpoint_sharded) continue;
-        auto piped = info.make(kN, AlgOptions{}, kSeed);
-        DriverOptions opt;
-        opt.num_workers = threads;
-        opt.gutter_bytes = gutter_bytes;
-        SketchDriver<LinearSketch> driver(piped.get(), opt);
-        driver.ProcessStream(s);
-        EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
-        EXPECT_EQ(Bytes(*piped), expected)
+        SessionManager mgr(PipelineOptions{threads});
+        SketchSession* piped = OpenSession(&mgr, info.name, kN, gutter_bytes);
+        ASSERT_NE(piped, nullptr);
+        for (const auto& e : s.Updates()) piped->Push(e.u, e.v, e.delta);
+        piped->Drain();
+        EXPECT_EQ(piped->applied_halves(), 2 * s.Size());
+        EXPECT_EQ(Bytes(piped->sketch()), expected)
             << "gutter=" << gutter_bytes << "B, threads=" << threads;
       }
     }
@@ -95,25 +108,23 @@ TEST(PipelineWorkSharing, HotSpotStreamReachesEveryWorker) {
   });
   const std::string expected = Bytes(*sequential);
 
-  auto piped = FindAlg("connectivity")->make(n, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = kWorkers;
+  SessionManager mgr(PipelineOptions{kWorkers});
   // Default gutters: node 0's gutter fills and flushes dozens of times
   // mid-stream, so the shared queue has real work to distribute; the
   // cold endpoints' gutters flush at the final drain.
+  SketchSession* piped = OpenSession(&mgr, "connectivity", n);
+  ASSERT_NE(piped, nullptr);
+  for (const auto& e : s.Updates()) piped->Push(e.u, e.v, e.delta);
+  piped->Drain();
+  ASSERT_EQ(mgr.pipeline().num_workers(), kWorkers);
   uint64_t per_worker[kWorkers];
-  {
-    SketchDriver<LinearSketch> driver(piped.get(), opt);
-    driver.ProcessStream(s);
-    ASSERT_EQ(driver.num_workers(), kWorkers);
-    uint64_t total = 0;
-    for (uint32_t w = 0; w < kWorkers; ++w) {
-      per_worker[w] = driver.WorkerAppliedHalves(w);
-      total += per_worker[w];
-    }
-    EXPECT_EQ(total, 2 * s.Size());
+  uint64_t total = 0;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    per_worker[w] = mgr.pipeline().WorkerAppliedHalves(w);
+    total += per_worker[w];
   }
-  EXPECT_EQ(Bytes(*piped), expected);
+  EXPECT_EQ(total, 2 * s.Size());
+  EXPECT_EQ(Bytes(piped->sketch()), expected);
   for (uint32_t w = 0; w < kWorkers; ++w) {
     EXPECT_GT(per_worker[w], 0u) << "worker " << w << " never applied work "
                                  << "(hot spot pinned to one worker?)";
@@ -139,35 +150,33 @@ TEST(PipelineDrain, DrainUnderGutterFlushInterleaving) {
     s.Push(u, v, rng.Below(4) == 0 ? -1 : +1);
   }
 
-  auto sk = FindAlg("connectivity")->make(n, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 3;
-  opt.gutter_bytes = 256;       // tiny gutters: flush storms mid-push
-  opt.max_pending_batches = 2;  // tight queue: producer blocks often
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
+  PipelineOptions popt;
+  popt.num_workers = 3;
+  popt.max_pending_batches = 2;  // tight queue: producer blocks often
+  SessionManager mgr(popt);
+  // Tiny gutters: flush storms mid-push.
+  SketchSession* session = OpenSession(&mgr, "connectivity", n, 256);
+  ASSERT_NE(session, nullptr);
   uint64_t pushed = 0;
   for (const auto& e : s.Updates()) {
-    driver.Push(e.u, e.v, e.delta);
+    session->Push(e.u, e.v, e.delta);
     if (++pushed % 512 == 0) {
-      driver.Drain();
-      EXPECT_EQ(driver.TotalUpdates(), 2 * pushed);
+      session->Drain();
+      EXPECT_EQ(session->applied_halves(), 2 * pushed);
     }
   }
-  driver.Drain();
-  EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+  session->Drain();
+  EXPECT_EQ(session->applied_halves(), 2 * s.Size());
 }
 
 // ------------------------------------------------- resolved workers --
 
-// DriverOptions::num_workers == 0 resolves through ResolveWorkerCount —
-// THE shared resolution rule (pipeline, CLI, benches) — and the driver
+// PipelineOptions::num_workers == 0 resolves through ResolveWorkerCount —
+// THE shared resolution rule (pipeline, CLI, benches) — and the pipeline
 // must REPORT the resolved count (benches and the CLI print it).
 TEST(PipelineDriver, ZeroWorkersReportResolvedCount) {
-  auto sk = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 0;
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
-  EXPECT_EQ(driver.num_workers(), ResolveWorkerCount(0));
+  SessionManager mgr(PipelineOptions{0});
+  EXPECT_EQ(mgr.pipeline().num_workers(), ResolveWorkerCount(0));
 }
 
 }  // namespace

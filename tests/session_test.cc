@@ -15,10 +15,12 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/sketch_registry.h"
 #include "src/driver/binary_stream.h"
+#include "src/driver/checkpoint.h"
 #include "src/driver/ingest_pipeline.h"
 #include "src/driver/snapshot.h"
 #include "src/session/session_manager.h"
@@ -41,8 +43,8 @@ std::string TenantName(uint32_t t) { return "tenant" + std::to_string(t); }
 
 // ------------------------------------------------- resolved workers --
 
-// ResolveWorkerCount is THE shared resolution rule (pipeline, driver
-// facade, CLI, benches): 0 means hardware_concurrency with a fallback of
+// ResolveWorkerCount is THE shared resolution rule (pipeline, CLI,
+// benches): 0 means hardware_concurrency with a fallback of
 // 1; explicit counts pass through untouched.
 TEST(ResolveWorkers, ZeroMeansHardwareExplicitPassesThrough) {
   EXPECT_GE(ResolveWorkerCount(0), 1u);
@@ -218,6 +220,34 @@ TEST(SessionCheckpoint, CloseReopenRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A fully merged shard checkpoint covers the whole stream, so the CLI's
+// `resume` adopts it at its stream position with nothing left to replay.
+// Adopt must take it as-is: position 12 kept, no half-update applied, and
+// no eager forest (the checkpoint carries no edge history, whatever the
+// config asks for).
+TEST(SessionAdopt, MergedShardCheckpointAtFullPosition) {
+  std::string err;
+  auto ckpt = ReadCheckpointFile(
+      std::string(GSKETCH_TEST_DATA_DIR) + "/golden_merged.gskc", &err);
+  ASSERT_TRUE(ckpt.has_value()) << err;
+  ASSERT_NE(ckpt->flags & kCheckpointFlagShard, 0u);
+  ASSERT_EQ(ckpt->stream_pos, 12u);
+  auto sketch = RestoreSketch(*ckpt, &err);
+  ASSERT_NE(sketch, nullptr) << err;
+
+  SessionManager mgr;
+  SessionConfig cfg;
+  cfg.eager_connectivity = true;
+  SketchSession* s =
+      mgr.Adopt("merged", std::move(sketch), ckpt->stream_pos, cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  s->Drain();
+  EXPECT_EQ(s->stream_pos(), 12u);
+  EXPECT_EQ(s->applied_halves(), 0u);
+  EXPECT_EQ(s->eager_forest(), nullptr);
+  EXPECT_EQ(AnswerString(s->sketch()), "components: 1\nconnected:  yes\n");
+}
+
 // --------------------------------------------------- manager surface --
 
 TEST(SessionManagerApi, ErrorsAndListing) {
@@ -244,7 +274,8 @@ TEST(SessionManagerApi, ErrorsAndListing) {
   EXPECT_EQ(mgr.Names(), (std::vector<std::string>{"b"}));
 
   // A multi-worker pool refuses non-sharded families at Create time (the
-  // shared pool cannot clamp workers per session).
+  // shared pool cannot clamp workers per session); Adopt refuses them by
+  // the sketch's own EndpointSharded().
   bool have_nonsharded = false;
   for (const AlgInfo& info : Registry()) {
     if (!info.endpoint_sharded) {
@@ -253,6 +284,11 @@ TEST(SessionManagerApi, ErrorsAndListing) {
       popt.num_workers = 3;
       SessionManager multi(popt);
       EXPECT_EQ(multi.Create("x", info.name, cfg, &err), nullptr);
+      EXPECT_NE(err.find("multi-worker"), std::string::npos) << err;
+      err.clear();
+      EXPECT_EQ(multi.Adopt("y", info.make(kN, AlgOptions{}, kSeed), 0, cfg,
+                            &err),
+                nullptr);
       EXPECT_NE(err.find("multi-worker"), std::string::npos) << err;
       break;
     }

@@ -1,5 +1,6 @@
 // Tests for the query-while-ingest serving subsystem
-// (src/driver/snapshot.h) and the Clone/Query surface of the LinearSketch
+// (src/driver/snapshot.h, captured by SketchSession::Publish) and the
+// Clone/Query surface of the LinearSketch
 // contract it is built on.
 //
 // The load-bearing property is SNAPSHOT CONSISTENCY: a snapshot taken
@@ -22,11 +23,11 @@
 #include <vector>
 
 #include "src/core/sketch_registry.h"
-#include "src/driver/sketch_driver.h"
 #include "src/driver/snapshot.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
 #include "src/hash/random.h"
+#include "src/session/session_manager.h"
 
 namespace gsketch {
 namespace {
@@ -46,6 +47,21 @@ std::string Bytes(const LinearSketch& sk) {
   std::string out;
   sk.AppendTo(&out);
   return out;
+}
+
+// A fresh session of registry family `alg` on `*mgr`.
+SketchSession* OpenSession(SessionManager* mgr, const char* alg,
+                           size_t gutter_bytes = 4096,
+                           bool eager_connectivity = false) {
+  SessionConfig cfg;
+  cfg.num_nodes = kN;
+  cfg.seed = kSeed;
+  cfg.gutter_bytes = gutter_bytes;
+  cfg.eager_connectivity = eager_connectivity;
+  std::string error;
+  SketchSession* s = mgr->Create(alg, alg, cfg, &error);
+  EXPECT_NE(s, nullptr) << error;
+  return s;
 }
 
 std::string MustQuery(const LinearSketch& sk, const std::string& q) {
@@ -118,7 +134,7 @@ TEST(LinearSketchContract, ConnectedQueryDecodesPairConnectivity) {
 
 // ------------------------------------------ query-under-ingest parity --
 
-// For every registered family: interleave SnapshotNow() captures with
+// For every registered family: interleave Publish() captures with
 // ongoing ingestion and assert each snapshot — sketch bytes AND decoded
 // answer — is byte-identical to a drain-then-query run truncated at the
 // same stream_pos. Covers one-entry and larger gutters at one and three
@@ -156,17 +172,14 @@ TEST(SnapshotParity, QueryUnderIngestMatchesDrainThenQueryAllFamilies) {
       if (cfg.threads > 1 && !info.endpoint_sharded) continue;
       SCOPED_TRACE("threads=" + std::to_string(cfg.threads) +
                    " gutter=" + std::to_string(cfg.gutter_bytes));
-      auto sk = info.make(kN, AlgOptions{}, kSeed);
-      DriverOptions opt;
-      opt.num_workers = cfg.threads;
-      opt.gutter_bytes = cfg.gutter_bytes;
-      SketchDriver<LinearSketch> driver(sk.get(), opt);
-      SnapshotStore store;
+      SessionManager mgr(PipelineOptions{cfg.threads});
+      SketchSession* session = OpenSession(&mgr, info.name, cfg.gutter_bytes);
+      ASSERT_NE(session, nullptr);
 
       size_t ci = 0;
       for (uint64_t pos = 0; pos <= t; ++pos) {
         while (ci < cuts.size() && cuts[ci] == pos) {
-          auto snap = PublishSnapshot(&driver, &store);
+          auto snap = session->Publish();
           ASSERT_NE(snap, nullptr);
           EXPECT_EQ(snap->stream_pos, pos);
           EXPECT_EQ(Bytes(*snap->sketch), ref_bytes[pos]) << "pos=" << pos;
@@ -176,7 +189,7 @@ TEST(SnapshotParity, QueryUnderIngestMatchesDrainThenQueryAllFamilies) {
         }
         if (pos == t) break;
         const auto& e = s.Updates()[pos];
-        driver.Push(e.u, e.v, e.delta);
+        session->Push(e.u, e.v, e.delta);
       }
       EXPECT_EQ(ci, cuts.size());
     }
@@ -194,21 +207,19 @@ TEST(SnapshotParity, PinnedSnapshotImmuneToFurtherIngest) {
   }
   const std::string ref_prefix = Bytes(*ref);
 
-  auto sk = FindAlg("forest")->make(kN, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 64;
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
-  SnapshotStore store;
+  SessionManager mgr(PipelineOptions{2});
+  SketchSession* session = OpenSession(&mgr, "forest", 64);
+  ASSERT_NE(session, nullptr);
+  const SnapshotStore& store = session->store();
 
   std::shared_ptr<const SketchSnapshot> pinned;
   for (uint64_t i = 0; i < s.Size(); ++i) {
-    if (i == cut) pinned = PublishSnapshot(&driver, &store);
+    if (i == cut) pinned = session->Publish();
     const auto& e = s.Updates()[i];
-    driver.Push(e.u, e.v, e.delta);
+    session->Push(e.u, e.v, e.delta);
   }
-  driver.Drain();
-  auto final_snap = PublishSnapshot(&driver, &store);
+  session->Drain();
+  auto final_snap = session->Publish();
 
   // The pinned mid-stream snapshot still serializes to the prefix state
   // even though ingestion ran to the end, and the store's latest moved on.
@@ -228,16 +239,15 @@ TEST(SnapshotParity, PinnedSnapshotImmuneToFurtherIngest) {
 // forest-edge deletion drops the cut from all later snapshots —
 // permanently — and the sketch path takes over with correct answers.
 TEST(SnapshotParity, EagerCutHandsOverToSketchAfterFirstDeletion) {
-  auto sk = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.eager_connectivity = true;
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
-  SnapshotStore store;
+  SessionManager mgr;
+  SketchSession* session = OpenSession(&mgr, "connectivity", 4096,
+                                       /*eager_connectivity=*/true);
+  ASSERT_NE(session, nullptr);
 
   // Insert-only prefix: the path 0-1-...-7 plus an isolated pair.
-  for (NodeId i = 0; i + 1 < 8; ++i) driver.Push(i, i + 1, +1);
-  driver.Push(10, 11, +1);
-  auto snap = PublishSnapshot(&driver, &store);
+  for (NodeId i = 0; i + 1 < 8; ++i) session->Push(i, i + 1, +1);
+  session->Push(10, 11, +1);
+  auto snap = session->Publish();
   ASSERT_NE(snap->eager, nullptr);
   const AlgTag tag = snap->sketch->Tag();
   for (const std::string& q :
@@ -252,15 +262,15 @@ TEST(SnapshotParity, EagerCutHandsOverToSketchAfterFirstDeletion) {
   EXPECT_FALSE(EagerAnswer(*snap->eager, tag, "connected 0 99").has_value());
 
   // Deleting a non-forest duplicate keeps the fast path alive.
-  driver.Push(0, 1, +1);
-  driver.Push(0, 1, -1);
-  snap = PublishSnapshot(&driver, &store);
+  session->Push(0, 1, +1);
+  session->Push(0, 1, -1);
+  snap = session->Publish();
   EXPECT_NE(snap->eager, nullptr);
 
   // Deleting a forest edge hands queries over to the sketch: the cut is
   // gone and decode reports the true split partition.
-  driver.Push(3, 4, -1);
-  snap = PublishSnapshot(&driver, &store);
+  session->Push(3, 4, -1);
+  snap = session->Publish();
   EXPECT_EQ(snap->eager, nullptr);
   EXPECT_EQ(MustQuery(*snap->sketch, "connected 0 3"), "yes");
   EXPECT_EQ(MustQuery(*snap->sketch, "connected 3 4"), "no");
@@ -268,8 +278,8 @@ TEST(SnapshotParity, EagerCutHandsOverToSketchAfterFirstDeletion) {
 
   // The handover is one-way: re-inserting the edge does not resurrect
   // the eager path, and the sketch keeps answering correctly.
-  driver.Push(3, 4, +1);
-  snap = PublishSnapshot(&driver, &store);
+  session->Push(3, 4, +1);
+  snap = session->Publish();
   EXPECT_EQ(snap->eager, nullptr);
   EXPECT_EQ(MustQuery(*snap->sketch, "connected 3 4"), "yes");
 }
@@ -333,30 +343,27 @@ TEST(QueryEngine, ConcurrentQueriesDuringIngest) {
   DynamicGraphStream s = TestStream(13);
   constexpr int kQueries = 64;
 
-  auto sk = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
-  DriverOptions opt;
-  opt.num_workers = 2;
-  opt.gutter_bytes = 64;
-  SketchDriver<LinearSketch> driver(sk.get(), opt);
-  SnapshotStore store;
+  SessionManager mgr(PipelineOptions{2});
+  SketchSession* session = OpenSession(&mgr, "connectivity", 64);
+  ASSERT_NE(session, nullptr);
 
   char* buf = nullptr;
   size_t len = 0;
   std::FILE* out = open_memstream(&buf, &len);
   ASSERT_NE(out, nullptr);
   {
-    QueryEngine engine(&store, out);
+    QueryEngine engine(&session->store(), out);
     std::thread asker([&engine] {
       for (int i = 0; i < kQueries; ++i) engine.Submit("components");
     });
     uint64_t pos = 0;
     for (const auto& e : s.Updates()) {
-      if (pos % 16 == 0) PublishSnapshot(&driver, &store);
-      driver.Push(e.u, e.v, e.delta);
+      if (pos % 16 == 0) session->Publish();
+      session->Push(e.u, e.v, e.delta);
       ++pos;
     }
     asker.join();
-    PublishSnapshot(&driver, &store);
+    session->Publish();
     engine.Finish();
     EXPECT_EQ(engine.answered(), uint64_t{kQueries});
   }

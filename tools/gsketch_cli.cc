@@ -388,37 +388,59 @@ bool CountStreamUpdates(const char* path, NodeId n, uint64_t* total,
   return true;
 }
 
-/// THE driver-setup path: feeds updates [from, to) of the stream at `path`
-/// into `*alg` through the batched parallel driver. Every command (run,
-/// checkpoint, resume) funnels through here — the historical per-command
-/// copies collapsed into this one function. GSKB files are streamed from
-/// disk in constant memory (records before `from` are read and discarded;
-/// the format has no index); text streams arrive preloaded from
-/// CountStreamUpdates. Algorithms that are not endpoint-sharded ingest on
-/// one worker regardless of --threads.
-bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
-                       const std::optional<DynamicGraphStream>& preloaded,
-                       uint64_t from, uint64_t to, const IngestOptions& opt) {
-  DriverOptions dopt;
-  dopt.num_workers = alg->EndpointSharded() ? opt.threads : 1;
-  dopt.gutter_bytes = opt.gutter;
-  SketchDriver<LinearSketch> driver(alg, dopt);
+/// The pipeline of a single-graph command's one-session SessionManager:
+/// families that are not endpoint-sharded ingest on one worker regardless
+/// of --threads.
+PipelineOptions SingleGraphPipeline(const LinearSketch& sk,
+                                    const IngestOptions& opt) {
+  PipelineOptions popt;
+  popt.num_workers = sk.EndpointSharded() ? opt.threads : 1;
+  return popt;
+}
+
+/// Hosts `sk` as the one session of a single-graph command, its stream
+/// position at `stream_pos`; reports and returns nullptr on failure.
+SketchSession* AdoptGraph(SessionManager* manager,
+                          std::unique_ptr<LinearSketch> sk,
+                          uint64_t stream_pos, const SessionConfig& cfg) {
+  std::string error;
+  SketchSession* s =
+      manager->Adopt("graph", std::move(sk), stream_pos, cfg, &error);
+  if (s == nullptr) std::fprintf(stderr, "error: %s\n", error.c_str());
+  return s;
+}
+
+/// THE ingest path of run, checkpoint and resume: hosts `sk` as the one
+/// session of `*manager` (built from SingleGraphPipeline) at stream
+/// position `from` and feeds it updates [from, to) of the stream at
+/// `path`. GSKB files are streamed from disk in constant memory (records
+/// before `from` are read and discarded; the format has no index); text
+/// streams arrive preloaded from CountStreamUpdates. Returns the drained
+/// session, or nullptr on failure.
+SketchSession* IngestStreamRange(
+    SessionManager* manager, std::unique_ptr<LinearSketch> sk,
+    const char* path, NodeId n,
+    const std::optional<DynamicGraphStream>& preloaded, uint64_t from,
+    uint64_t to, const IngestOptions& opt) {
+  SessionConfig cfg;
+  cfg.gutter_bytes = opt.gutter;
+  SketchSession* s = AdoptGraph(manager, std::move(sk), from, cfg);
+  if (s == nullptr) return nullptr;
   std::optional<InsertionTracker> tracker;
   if (opt.progress) {
     // Name the RESOLVED worker count (0 means hardware concurrency, and
     // non-sharded algorithms clamp to 1), so the header states what the
     // run actually uses rather than echoing the flag.
-    std::fprintf(stderr, "progress: %u worker%s\n", driver.num_workers(),
-                 driver.num_workers() == 1 ? "" : "s");
-    // Report in stream tokens against the FULL stream length: the driver
+    const uint32_t workers = manager->pipeline().num_workers();
+    std::fprintf(stderr, "progress: %u worker%s\n", workers,
+                 workers == 1 ? "" : "s");
+    // Report in stream tokens against the FULL stream length: the session
     // counts endpoint halves (2 per token), so the counter halves it, and
     // a resumed range seeds the tracker at `from` (the checkpoint's
     // stream_pos) — percent/rate/ETA reflect true stream position, not 0%
     // of the remainder, and the closing line names the resume point.
     tracker.emplace(to,
-                    [&driver, from] {
-                      return from + driver.TotalUpdates() / 2;
-                    },
+                    [s, from] { return from + s->applied_halves() / 2; },
                     /*initial=*/from);
   }
 
@@ -426,7 +448,7 @@ bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
   if (preloaded.has_value()) {
     const auto& updates = preloaded->Updates();
     for (uint64_t i = from; i < to; ++i) {
-      driver.Push(updates[i].u, updates[i].v, updates[i].delta);
+      s->Push(updates[i].u, updates[i].v, updates[i].delta);
     }
   } else {
     // Records before `from` are read and discarded (the format has no
@@ -434,15 +456,13 @@ bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
     uint64_t index = 0;
     ok = ForEachBinaryUpdate(path, n, to,
                              [&](const EdgeUpdate& e) {
-                               if (index >= from) {
-                                 driver.Push(e.u, e.v, e.delta);
-                               }
+                               if (index >= from) s->Push(e.u, e.v, e.delta);
                                ++index;
                              });
   }
-  driver.Drain();
+  s->Drain();
   if (tracker.has_value()) tracker->Stop();
-  return ok;
+  return ok ? s : nullptr;
 }
 
 /// One registered algorithm over one whole stream: make, ingest, answer.
@@ -453,10 +473,11 @@ int RunRegistered(const AlgInfo& info, NodeId n, const char* path,
   std::optional<DynamicGraphStream> preloaded;
   if (!CountStreamUpdates(path, n, &total, &preloaded)) return kExitRuntime;
   auto sk = info.make(n, aopt, seed);
-  if (!IngestStreamRange(sk.get(), path, n, preloaded, 0, total, opt)) {
-    return kExitRuntime;
-  }
-  sk->PrintAnswer(stdout);
+  SessionManager manager(SingleGraphPipeline(*sk, opt));
+  SketchSession* s = IngestStreamRange(&manager, std::move(sk), path, n,
+                                       preloaded, 0, total, opt);
+  if (s == nullptr) return kExitRuntime;
+  s->sketch().PrintAnswer(stdout);
   return 0;
 }
 
@@ -523,11 +544,11 @@ bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
   return true;
 }
 
-/// serve: query-while-ingest. Ingests the stream through the batched
-/// driver and, at every scripted position (plus every --snapshot-every
-/// updates and --snapshot-ms wall-clock tick, overdue ticks coalesced),
-/// takes a drain-barrier snapshot — a COW page-table fork
-/// (SketchDriver::SnapshotNow + SnapshotView) — and publishes it; a
+/// serve: query-while-ingest. Ingests the stream through a one-session
+/// SessionManager and, at every scripted position (plus every
+/// --snapshot-every updates and --snapshot-ms wall-clock tick, overdue
+/// ticks coalesced), takes a drain-barrier snapshot — a COW page-table
+/// fork (SketchSession::Publish) — into the session's store; a
 /// QueryEngine thread answers the queries pinned to those snapshots
 /// WHILE ingestion continues, from the exact eager cut when one is
 /// valid. Every answer is prefixed with the stream position it
@@ -555,22 +576,26 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   }
 
   auto sk = info.make(n, aopt, seed);
-  DriverOptions dopt;
-  dopt.num_workers = sk->EndpointSharded() ? opt.threads : 1;
-  dopt.gutter_bytes = opt.gutter;
+  SessionManager manager(SingleGraphPipeline(*sk, opt));
+  SessionConfig cfg;
+  cfg.gutter_bytes = opt.gutter;
   // Families whose exact answers the eager spanning forest can serve in
   // O(α) straight from the producer thread (insert-only streams; the
   // forest invalidates itself on the first deletion it cannot absorb).
-  dopt.eager_connectivity = info.tag == AlgTag::kConnectivity ||
-                            info.tag == AlgTag::kSpanningForest;
-  SketchDriver<LinearSketch> driver(sk.get(), dopt);
-  SnapshotStore store;
-  QueryEngine engine(&store, stdout);
+  cfg.eager_connectivity = info.tag == AlgTag::kConnectivity ||
+                           info.tag == AlgTag::kSpanningForest;
+  cfg.snapshot_interval_seconds =
+      static_cast<double>(sopt.snapshot_ms) / 1000.0;
+  SketchSession* session = AdoptGraph(&manager, std::move(sk), 0, cfg);
+  if (session == nullptr) return kExitRuntime;
+  QueryEngine engine(&session->store(), stdout);
   std::optional<InsertionTracker> tracker;
   if (opt.progress) {
-    std::fprintf(stderr, "progress: %u worker%s\n", driver.num_workers(),
-                 driver.num_workers() == 1 ? "" : "s");
-    tracker.emplace(total, [&driver] { return driver.TotalUpdates() / 2; });
+    const uint32_t workers = manager.pipeline().num_workers();
+    std::fprintf(stderr, "progress: %u worker%s\n", workers,
+                 workers == 1 ? "" : "s");
+    tracker.emplace(total,
+                    [session] { return session->applied_halves() / 2; });
   }
 
   using Clock = std::chrono::steady_clock;
@@ -578,8 +603,7 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   auto now_seconds = [&start] {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
-  SnapshotScheduler scheduler(
-      static_cast<double>(sopt.snapshot_ms) / 1000.0);
+  SnapshotScheduler& scheduler = session->scheduler();
 
   size_t qi = 0;
   uint64_t pushed = 0;
@@ -602,7 +626,7 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
     }
     if (!scripted && !periodic && !timed) return;
     SnapshotTiming timing;
-    auto snap = PublishSnapshot(&driver, &store, &timing);
+    auto snap = session->Publish(&timing);
     if (timed) scheduler.Taken(now);
     ++snapshots;
     sum.drain_ms += timing.drain_ms;
@@ -625,18 +649,18 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   if (preloaded.has_value()) {
     for (const auto& e : preloaded->Updates()) {
       serve_boundary();
-      driver.Push(e.u, e.v, e.delta);
+      session->Push(e.u, e.v, e.delta);
       ++pushed;
     }
   } else {
     ok = ForEachBinaryUpdate(path, n, total,
                              [&](const EdgeUpdate& e) {
                                serve_boundary();
-                               driver.Push(e.u, e.v, e.delta);
+                               session->Push(e.u, e.v, e.delta);
                                ++pushed;
                              });
   }
-  driver.Drain();
+  session->Drain();
   if (ok) serve_boundary();  // end-of-stream queries (pos == total)
   engine.Finish();
   if (tracker.has_value()) tracker->Stop();
@@ -984,9 +1008,12 @@ int RunCheckpoint(const AlgInfo& info, NodeId n, const char* stream_path,
 
   std::string error;
   auto sk = info.make(n, aopt, seed);
-  if (!IngestStreamRange(sk.get(), stream_path, n, preloaded, 0, at, opt) ||
-      !SaveCheckpoint(out_path, *sk, at, &error)) {
-    if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
+  SessionManager manager(SingleGraphPipeline(*sk, opt));
+  SketchSession* s = IngestStreamRange(&manager, std::move(sk), stream_path,
+                                       n, preloaded, 0, at, opt);
+  if (s == nullptr) return kExitRuntime;
+  if (!manager.Checkpoint(s->name(), out_path, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitRuntime;
   }
   std::fprintf(stderr, "checkpointed %s after %llu/%llu updates to %s\n",
@@ -1043,11 +1070,12 @@ int RunResume(const char* stream_path, const char* ckpt_path,
                CheckpointAlgName(ckpt->alg),
                static_cast<unsigned long long>(ckpt->stream_pos),
                static_cast<unsigned long long>(total));
-  if (!IngestStreamRange(sk.get(), stream_path, n, preloaded,
-                         ckpt->stream_pos, total, opt)) {
-    return kExitRuntime;
-  }
-  sk->PrintAnswer(stdout);
+  SessionManager manager(SingleGraphPipeline(*sk, opt));
+  SketchSession* s = IngestStreamRange(&manager, std::move(sk), stream_path,
+                                       n, preloaded, ckpt->stream_pos, total,
+                                       opt);
+  if (s == nullptr) return kExitRuntime;
+  s->sketch().PrintAnswer(stdout);
   return 0;
 }
 

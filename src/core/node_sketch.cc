@@ -71,6 +71,17 @@ std::optional<NodeL0Bank> NodeL0Bank::Deserialize(ByteReader* r) {
     L0Params p;
     if (!L0ParseHeader(r, &p)) return std::nullopt;
     if (u == 0) {
+      // Check the declared size against the payload BEFORE allocating:
+      // n slices of stride cells, each slice after node 0's (already
+      // read) header carrying its own header.
+      const size_t cells = p.CellsPerSampler();
+      const size_t slice_bytes = cells * sizeof(OneSparseCell);
+      const size_t node_bytes = kL0HeaderBytes + slice_bytes;
+      if (slice_bytes / sizeof(OneSparseCell) != cells ||
+          slice_bytes > r->remaining() ||
+          bank.n_ - 1 > (r->remaining() - slice_bytes) / node_bytes) {
+        return std::nullopt;
+      }
       bank.params_ = p;
       bank.stride_ = p.CellsPerSampler();
       bank.arena_ = CowCellArena(static_cast<size_t>(bank.n_), bank.stride_);

@@ -34,14 +34,17 @@
 //   IngestPipeline::queue_mu_      shared queue push/pop; NEVER held
 //                                  while a batch is applied to a sketch
 //   IngestPipeline::stripes_[i]    per-(session,endpoint) node stripe;
-//                                  held across every sink apply call
+//                                  held across every sink apply call,
+//                                  on a worker or on the producer thread
+//                                  (full-queue backpressure, drain help),
+//                                  which then holds no other lock
 //   CowCellArena own-stripe        first-touch page clone; acquired UNDER
 //                                  a node stripe when an apply first
 //                                  touches a COW page
 //   IngestPipeline::drained_mu_    drain barrier wakeup; leaf — taken with
-//                                  no other lock held, by design (workers
+//                                  no other lock held, by design (appliers
 //                                  only touch it after releasing
-//                                  everything else; see WorkerLoop)
+//                                  everything else; see ApplyItem)
 //   SnapshotStore::mu_             latest-snapshot slot; leaf
 //   QueryEngine::mu_               submission queue; leaf — answers are
 //                                  decoded with the lock RELEASED
@@ -49,6 +52,8 @@
 //
 // The only nesting pair is therefore
 //     node stripe  →  COW own-stripe
+// taken by workers and, when it applies a batch itself, by the producer
+// thread: the same pair, with nothing else held.
 // and both sides are dynamically striped (array-indexed) locks, which
 // GSKETCH_ACQUIRED_BEFORE/_AFTER cannot name — the attributes take a
 // specific capability declaration, not an element of an array chosen at

@@ -18,8 +18,17 @@
 // while holding that (session, endpoint)'s stripe lock. The stripe is the
 // only serialization a linear sketch needs: cells after a stream are the
 // same under any order and any grouping of its updates, so the scheduler
-// only has to keep two workers from writing one node's cells at once. A
+// only has to keep two threads from writing one node's cells at once. A
 // hot node's batches spread over every worker instead of pinning to one.
+// A session whose sketch is not endpoint-sharded (IngestSink::
+// EndpointSharded, e.g. triangles) keys all its batches to ONE stripe, so
+// it has one applier at a time however many threads apply.
+//
+// The producer applies whenever it would otherwise wait. When the shared
+// queue is full, Enqueue takes the oldest batch and applies it itself
+// (caller-runs backpressure); a drain, after flushing the gutters, applies
+// queued batches itself and sleeps only on batches workers already hold.
+// Workers and the producer share one apply routine (ApplyItem).
 //
 // Every work item is tagged with the channel it belongs to, so workers
 // dispatch per batch on the session id (one virtual call per batch, not
@@ -30,18 +39,20 @@
 //
 // Threading contract: ALL producer-side calls — Push, Drain, Attach,
 // Detach, CaptureEagerCut — come from one thread (or are externally
-// serialized). Workers are internal. Per-session drain only waits for
-// THAT session's queued work; other sessions keep flowing through the
-// same workers during the barrier.
+// serialized). That thread also applies batches inside Push and Drain, as
+// above, holding no lock of its own while it does. A drain's help pops
+// the queue in order, whichever session a batch belongs to, but it only
+// WAITS for that session's work; other sessions' batches keep flowing
+// through the same appliers during the barrier.
 //
 // The locking invariants below are machine-checked: every mutex is a
 // capability-annotated gsketch::Mutex (src/core/sync.h), guarded fields
 // carry GSKETCH_GUARDED_BY, and clang -Wthread-safety rejects any access
 // that cannot prove it holds the lock. Lock order (see sync.h): queue_mu_
 // is never held while a batch is applied; a node stripe is held across
-// the apply and may nest a CowCellArena own-stripe under it (the only
-// nesting pair in the codebase); drained_mu_ is a leaf taken with nothing
-// else held.
+// the apply, on a worker or on the producer, and may nest a CowCellArena
+// own-stripe under it (the only nesting pair in the codebase); drained_mu_
+// is a leaf taken with nothing else held.
 #ifndef GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 #define GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 
@@ -50,6 +61,8 @@
 #include <deque>
 #include <memory>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/sync.h"
@@ -75,9 +88,9 @@ struct HalfUpdate {
 };
 
 /// The type-erased per-session apply surface. One sink wraps one sketch
-/// (AlgIngestSink below is the generic adapter); workers call it at
-/// batch granularity, so the virtual hop is amortized over a whole
-/// gutter flush. Implementations own no pipeline
+/// (AlgIngestSink below is the generic adapter); workers and the
+/// producer call it at batch granularity, so the virtual hop is amortized
+/// over a whole gutter flush. Implementations own no pipeline
 /// state; the pipeline serializes calls per (session, endpoint) with its
 /// stripe locks, and calls for distinct endpoints may run concurrently.
 class IngestSink {
@@ -86,7 +99,22 @@ class IngestSink {
 
   /// Applies one dense per-node batch (one gutter flush).
   virtual void ApplyNode(const NodeBatch& batch) = 0;
+
+  /// True when batches for distinct endpoints touch disjoint state and
+  /// may be applied concurrently (LinearSketch::EndpointSharded). False
+  /// keys every batch of the session to one stripe: one applier at a
+  /// time, whichever thread it is.
+  virtual bool EndpointSharded() const { return true; }
 };
+
+/// Detects `bool Alg::EndpointSharded() const`; an Alg without it is
+/// endpoint-sharded by the UpdateEndpoint contract.
+template <typename Alg, typename = void>
+struct AlgHasEndpointSharded : std::false_type {};
+template <typename Alg>
+struct AlgHasEndpointSharded<
+    Alg, std::void_t<decltype(std::declval<const Alg&>().EndpointSharded())>>
+    : std::true_type {};
 
 /// The IngestSink over any Alg with `UpdateEndpoint(endpoint, u, v,
 /// delta)` touching only `endpoint`'s state: forwards each gutter flush
@@ -101,6 +129,14 @@ class AlgIngestSink : public IngestSink {
     ApplyNodeBatch(alg_, batch);
   }
 
+  bool EndpointSharded() const override {
+    if constexpr (AlgHasEndpointSharded<Alg>::value) {
+      return alg_->EndpointSharded();
+    } else {
+      return true;
+    }
+  }
+
  private:
   Alg* alg_;
 };
@@ -108,9 +144,13 @@ class AlgIngestSink : public IngestSink {
 /// Tuning knobs for the shared pipeline (per-session knobs live in
 /// ChannelOptions).
 struct PipelineOptions {
-  uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
-  /// Queued batches per worker before Push blocks (backpressure); the
-  /// shared queue holds up to num_workers × this.
+  /// Background worker threads; 0 = hardware concurrency. The producer
+  /// thread applies batches too (see file comment), so up to
+  /// num_workers + 1 threads apply at once.
+  uint32_t num_workers = 1;
+  /// Queued batches per worker; the shared queue holds up to
+  /// num_workers × this. A Push that finds it full applies the oldest
+  /// batch itself (backpressure) instead of waiting.
   size_t max_pending_batches = 8;
 };
 
@@ -155,10 +195,12 @@ class IngestPipeline {
   void Detach(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
   /// Buffers one stream token of session `sid` in the session's gutters
-  /// (full gutters flush onto the shared queue). Producer-side.
+  /// (full gutters flush onto the shared queue; when the queue is full,
+  /// this call applies the queue's oldest batch). Producer-side.
   void Push(SessionId sid, NodeId u, NodeId v, int64_t delta);
 
-  /// Flushes the session's gutters and blocks until every queued update
+  /// Flushes the session's gutters, applies queued batches on this
+  /// thread while the session is short, then blocks until every update
   /// OF THIS SESSION has been applied; its sketch then reflects the whole
   /// stream pushed so far and may be read safely. Other sessions' items
   /// keep flowing through the workers meanwhile. Producer-side.
@@ -202,6 +244,13 @@ class IngestPipeline {
     return worker_applied_[w].load(std::memory_order_relaxed);
   }
 
+  /// Half-updates the producer thread applied itself so far (full-queue
+  /// backpressure and drain help), across all sessions. Together with
+  /// every WorkerAppliedHalves this sums to all halves applied.
+  uint64_t ProducerAppliedHalves() const {
+    return WorkerAppliedHalves(producer_slot());
+  }
+
   /// Channels currently attached.
   size_t num_sessions() const { return live_channels_; }
 
@@ -215,6 +264,7 @@ class IngestPipeline {
 
     SessionId id;
     IngestSink* sink;
+    bool endpoint_sharded;  // sink->EndpointSharded(), cached at Attach
     GutterSystem gutter;                 // producer-side
     std::unique_ptr<EagerForest> eager;  // producer-side (eager mode)
     uint64_t stream_updates = 0;         // producer-side token count
@@ -232,10 +282,17 @@ class IngestPipeline {
 
   Channel* Get(SessionId sid) const;
   void Enqueue(Channel* ch, NodeBatch&& batch)
-      GSKETCH_EXCLUDES(queue_mu_);
-  void DrainChannel(Channel* ch) GSKETCH_EXCLUDES(drained_mu_);
+      GSKETCH_EXCLUDES(queue_mu_, drained_mu_);
+  void DrainChannel(Channel* ch) GSKETCH_EXCLUDES(queue_mu_, drained_mu_);
   void WorkerLoop(uint32_t w)
       GSKETCH_EXCLUDES(queue_mu_, drained_mu_);
+  // THE apply routine, run by workers and by the producer alike: applies
+  // the batch under its stripe, then credits `slot`'s counter and the
+  // channel, waking a drain waiter when one may be due.
+  void ApplyItem(const WorkItem& item, uint32_t slot)
+      GSKETCH_EXCLUDES(queue_mu_, drained_mu_);
+  // The producer's counter slot, after the workers' slots.
+  uint32_t producer_slot() const { return num_workers(); }
 
   // Stripe count for the per-(session, endpoint) apply locks: comfortably
   // above any sane worker count so two hot nodes rarely share a stripe,
@@ -245,14 +302,15 @@ class IngestPipeline {
   Mutex& Stripe(const Channel& ch, NodeId endpoint) {
     // Distinct sessions hosting the same hot endpoint spread over
     // different stripes (golden-ratio session scatter); a collision only
-    // costs contention, never correctness.
-    return stripes_[(endpoint + ch.id * 0x9e3779b9u) % kLockStripes];
+    // costs contention, never correctness. A session that is not
+    // endpoint-sharded keys every batch to one stripe.
+    const NodeId key = ch.endpoint_sharded ? endpoint : 0;
+    return stripes_[(key + ch.id * 0x9e3779b9u) % kLockStripes];
   }
 
   size_t queue_capacity_ = 0;  // max_pending_batches × workers
   Mutex queue_mu_;
   CondVar not_empty_;
-  CondVar not_full_;
   std::deque<WorkItem> queue_ GSKETCH_GUARDED_BY(queue_mu_);
   bool stopping_ GSKETCH_GUARDED_BY(queue_mu_) = false;
   // A stripe is held across the sink apply call, so the wrapped sketch's
@@ -267,11 +325,12 @@ class IngestPipeline {
   std::vector<std::shared_ptr<Channel>> channels_;
   size_t live_channels_ = 0;
   std::vector<std::thread> threads_;
-  std::unique_ptr<std::atomic<uint64_t>[]> worker_applied_;  // per worker
+  // Per worker, then the producer's slot (producer_slot()).
+  std::unique_ptr<std::atomic<uint64_t>[]> worker_applied_;
   std::atomic<bool> drain_pending_{false};
   // Pure wakeup channel for the drain barrier: the predicate reads the
   // channel ATOMICS, so the mutex guards no fields — it only serializes
-  // the Dekker-style wait/notify pairing (see DrainChannel/WorkerLoop).
+  // the Dekker-style wait/notify pairing (see DrainChannel/ApplyItem).
   // Leaf lock: taken with nothing else held, on both sides.
   Mutex drained_mu_;
   CondVar drained_;

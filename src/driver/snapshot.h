@@ -13,10 +13,15 @@
 //   Push Push Push ...                 Query("components")
 //   Publish() ──────┐                    │ reads latest snapshot,
 //     drain barrier │ SnapshotView()     │ decodes, answers with the
-//     (gutters +    ├───► SnapshotStore ─┘ stream_pos it reflects
-//      worker       │     (latest slot)
-//      queues)      │
+//     (flush,       ├───► SnapshotStore ─┘ stream_pos it reflects
+//      apply queued │     (latest slot)
+//      batches here,│
+//      wait workers)│
 //   Push Push ... ◄─┘ resumes immediately
+//
+// The drain applies on the ingest thread: after flushing the gutters it
+// pops and applies queued batches itself and waits only for the batches
+// workers already hold (src/driver/ingest_pipeline.h).
 //
 // Publish() is SketchSession::Publish (src/session/sketch_session.h), the one
 // drain-barrier capture in the tree. A snapshot is a SnapshotView of the sketch

@@ -182,6 +182,10 @@ void L0Sampler::Merge(const L0Sampler& other) {
 std::optional<L0Sampler> L0Sampler::Deserialize(ByteReader* r) {
   L0Params p;
   if (!L0ParseHeader(r, &p)) return std::nullopt;
+  // Check the declared cell count against the payload before allocating.
+  if (p.CellsPerSampler() > r->remaining() / sizeof(OneSparseCell)) {
+    return std::nullopt;
+  }
   L0Sampler s(p.domain, p.repetitions, p.seed);
   if (!ParseCells(r, s.cells_.data(), s.cells_.size())) return std::nullopt;
   return s;

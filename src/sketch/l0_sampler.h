@@ -96,6 +96,10 @@ bool L0CellsIsZero(const L0Params& p, const OneSparseCell* cells);
 void L0CellsAppendTo(const L0Params& p, const OneSparseCell* cells,
                      std::string* out);
 
+/// Bytes of one sampler wire record header: magic (4), domain (8),
+/// repetitions (4), seed (8).
+inline constexpr size_t kL0HeaderBytes = 24;
+
 /// Parses a sampler wire record header into `*p` (levels derived from the
 /// domain); the caller then reads p->CellsPerSampler() cells.
 bool L0ParseHeader(ByteReader* r, L0Params* p);

@@ -105,6 +105,10 @@ class ByteReader {
 
   size_t position() const { return pos_; }
 
+  /// Bytes left to read (0 once failed): the bound any declared size
+  /// must be checked against before it is allocated.
+  size_t remaining() const { return failed_ ? 0 : size_ - pos_; }
+
  private:
   const char* data_;
   size_t size_;

@@ -206,10 +206,14 @@ TEST(GutterParity, EveryRegisteredFamilyAtSeveralGutterSizes) {
 //
 // Mimics the gutter-flush shape of SubgraphSketch exactly: min-endpoint
 // semantics, no ApplyBatch override (the sink falls back to the
-// per-update UpdateEndpoint loop, like LinearSketch's default).
+// per-update UpdateEndpoint loop, like LinearSketch's default), and not
+// endpoint-sharded (every half writes the one shared map, so the
+// pipeline must keep its batches to one applier at a time).
 struct MinEndpointRecorder {
   std::map<std::pair<NodeId, NodeId>, int64_t> applied;
   uint64_t noop_halves = 0;
+
+  bool EndpointSharded() const { return false; }
 
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta) {
     if (endpoint == (u < v ? u : v)) {

@@ -11,9 +11,12 @@
 // 4 KiB gutters and at one and three workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/sketch_registry.h"
@@ -115,10 +118,29 @@ TEST(PipelineWorkSharing, HotSpotStreamReachesEveryWorker) {
   SketchSession* piped = OpenSession(&mgr, "connectivity", n);
   ASSERT_NE(piped, nullptr);
   for (const auto& e : s.Updates()) piped->Push(e.u, e.v, e.delta);
-  piped->Drain();
+  // The producer applies batches only when the queue is full or inside a
+  // drain, so on a CPU-starved host it could apply the rest before an
+  // idle worker is scheduled. Before draining, give the workers time to
+  // take the queued hot-node batches (only node 0's gutter fills
+  // mid-stream): the check below is about routing, not about which
+  // thread the OS runs first.
   ASSERT_EQ(mgr.pipeline().num_workers(), kWorkers);
+  auto some_worker_idle = [&] {
+    for (uint32_t w = 0; w < kWorkers; ++w) {
+      if (mgr.pipeline().WorkerAppliedHalves(w) == 0) return true;
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (some_worker_idle() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  piped->Drain();
   uint64_t per_worker[kWorkers];
-  uint64_t total = 0;
+  // The producer applies too (full queue, drain help); its slot closes
+  // the exact account.
+  uint64_t total = mgr.pipeline().ProducerAppliedHalves();
   for (uint32_t w = 0; w < kWorkers; ++w) {
     per_worker[w] = mgr.pipeline().WorkerAppliedHalves(w);
     total += per_worker[w];
@@ -167,6 +189,110 @@ TEST(PipelineDrain, DrainUnderGutterFlushInterleaving) {
   }
   session->Drain();
   EXPECT_EQ(session->applied_halves(), 2 * s.Size());
+}
+
+// ------------------------------------------------- producer applies --
+
+// Forwards every batch to a registry sketch and records who applied it:
+// how many batches ran on the producer (test) thread, and the most
+// ApplyNode calls ever in flight at once.
+class RecordingSink : public IngestSink {
+ public:
+  explicit RecordingSink(LinearSketch* sk)
+      : sk_(sk), producer_(std::this_thread::get_id()) {}
+
+  void ApplyNode(const NodeBatch& batch) override {
+    // relaxed throughout: test-only tallies read after the pipeline is
+    // drained (the drain barrier orders them).
+    const int now = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
+    int seen = max_in_flight_.load(std::memory_order_relaxed);
+    while (now > seen && !max_in_flight_.compare_exchange_weak(
+                             seen, now, std::memory_order_relaxed)) {
+    }
+    if (std::this_thread::get_id() == producer_) {
+      producer_batches_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ApplyNodeBatch(sk_, batch);
+    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  bool EndpointSharded() const override { return sk_->EndpointSharded(); }
+
+  uint64_t producer_batches() const {
+    return producer_batches_.load(std::memory_order_relaxed);
+  }
+  int max_in_flight() const {
+    return max_in_flight_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  LinearSketch* sk_;
+  std::thread::id producer_;
+  std::atomic<uint64_t> producer_batches_{0};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> max_in_flight_{0};
+};
+
+// Ingests `s` into a fresh `alg` sketch through a one-worker pipeline
+// whose queue holds ONE batch, with one-entry gutters: nearly every Push
+// finds the queue full, so the producer applies batches itself.
+// `*sink` receives the recording sink.
+std::unique_ptr<LinearSketch> IngestThroughTightQueue(
+    const char* alg, const DynamicGraphStream& s,
+    std::unique_ptr<RecordingSink>* sink) {
+  auto sk = FindAlg(alg)->make(kN, AlgOptions{}, kSeed);
+  *sink = std::make_unique<RecordingSink>(sk.get());
+  PipelineOptions popt;
+  popt.num_workers = 1;
+  popt.max_pending_batches = 1;
+  IngestPipeline pipe(popt);
+  ChannelOptions copt;
+  copt.gutter_bytes = 0;  // one entry: every half is its own batch
+  copt.coalesce = sk->CoalesceSafe();
+  const auto sid = pipe.Attach(sink->get(), copt);
+  for (const auto& e : s.Updates()) pipe.Push(sid, e.u, e.v, e.delta);
+  pipe.Drain(sid);
+  EXPECT_EQ(pipe.AppliedHalves(sid), 2 * s.Size());
+  const uint64_t total =
+      pipe.ProducerAppliedHalves() + pipe.WorkerAppliedHalves(0);
+  EXPECT_EQ(total, 2 * s.Size());
+  EXPECT_GT(pipe.ProducerAppliedHalves(), 0u);
+  return sk;
+}
+
+// A full queue makes the producer apply the oldest batch itself instead
+// of sleeping; the sketch must still be byte-identical to sequential
+// ingestion.
+TEST(PipelineProducerApplies, FullQueueRunsBatchesOnProducer) {
+  const DynamicGraphStream s = TestStream(31);
+  auto sequential = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
+  s.Replay([&](NodeId u, NodeId v, int64_t d) {
+    sequential->Update(u, v, d);
+  });
+  std::unique_ptr<RecordingSink> sink;
+  auto piped = IngestThroughTightQueue("connectivity", s, &sink);
+  EXPECT_GT(sink->producer_batches(), 0u);
+  EXPECT_EQ(Bytes(*piped), Bytes(*sequential));
+}
+
+// A sketch that is not endpoint-sharded (triangles) must have ONE applier
+// at a time even while the producer helps the worker: all its batches
+// share one stripe, so ApplyNode never runs twice at once.
+TEST(PipelineProducerApplies, NonShardedSketchHasOneApplierAtATime) {
+  const DynamicGraphStream s = TestStream(37);
+  auto sequential = FindAlg("triangles")->make(kN, AlgOptions{}, kSeed);
+  ASSERT_FALSE(sequential->EndpointSharded());
+  s.Replay([&](NodeId u, NodeId v, int64_t d) {
+    sequential->Update(u, v, d);
+  });
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    std::unique_ptr<RecordingSink> sink;
+    auto piped = IngestThroughTightQueue("triangles", s, &sink);
+    EXPECT_GT(sink->producer_batches(), 0u);
+    EXPECT_EQ(sink->max_in_flight(), 1);
+    EXPECT_EQ(Bytes(*piped), Bytes(*sequential));
+  }
 }
 
 // ------------------------------------------------- resolved workers --

@@ -2,8 +2,11 @@
 // deserialized sketches, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/core/connectivity_suite.h"
 #include "src/core/k_edge_connect.h"
@@ -12,6 +15,7 @@
 #include "src/core/simple_sparsifier.h"
 #include "src/core/spanning_forest.h"
 #include "src/core/subgraph_sketch.h"
+#include "src/driver/checkpoint.h"
 #include "src/graph/generators.h"
 #include "src/sketch/l0_sampler.h"
 #include "src/sketch/serde.h"
@@ -218,6 +222,48 @@ TEST(Serde, LayeredSketchesRejectHostileCounts) {
         HostilePayload({0x53554247u, 8, 3, kHostileCount});
     ByteReader r(buf);
     EXPECT_FALSE(SubgraphSketch::Deserialize(&r).has_value());
+  }
+}
+
+TEST(Serde, L0SamplerRejectsHostileRepetitionCount) {
+  // magic, domain (U64), repetitions, seed (U64): ~2^32 × 21 cells
+  // declared, no cells present.
+  const std::string buf =
+      HostilePayload({0x4c30534bu, 1u << 20, 0, kHostileCount, 7, 0});
+  ByteReader r(buf);
+  EXPECT_FALSE(L0Sampler::Deserialize(&r).has_value());
+}
+
+// The resealed-corruption probe (tools/hostile_gskc_probe.py), in memory:
+// overwrite 8 bytes with 0xff at each offset in the first 64 payload bytes
+// of the golden connectivity checkpoint. Every copy must decode or be
+// refused without throwing. The probe's 12 aborting seeds (seed, offset)
+// declare node-bank sizes the payload cannot hold; the reader once
+// allocated them and died of std::bad_alloc, and must now refuse them
+// before any allocation.
+TEST(Serde, ResealedGoldenCheckpointCorruptionsFailCleanly) {
+  std::string error;
+  auto golden = ReadCheckpointFile(
+      std::string(GSKETCH_TEST_DATA_DIR) + "/golden_connectivity.gskc",
+      &error);
+  ASSERT_TRUE(golden.has_value()) << error;
+  ASSERT_GE(golden->payload.size(), 64u);
+  auto corrupt = [&](size_t offset) {
+    Checkpoint c = *golden;
+    c.payload.replace(offset, 8, 8, '\xff');
+    return c;
+  };
+  for (size_t offset = 0; offset + 8 <= 64; ++offset) {
+    std::unique_ptr<LinearSketch> sk;
+    EXPECT_NO_THROW(sk = RestoreSketch(corrupt(offset), &error))
+        << "offset " << offset;
+  }
+  const std::pair<int, size_t> aborting[] = {
+      {9, 29},  {11, 28}, {12, 30}, {17, 33}, {18, 11}, {29, 35},
+      {30, 34}, {34, 33}, {35, 35}, {40, 29}, {48, 35}, {50, 31}};
+  for (const auto& [seed, offset] : aborting) {
+    EXPECT_EQ(RestoreSketch(corrupt(offset), &error), nullptr)
+        << "seed " << seed << " offset " << offset;
   }
 }
 
